@@ -48,10 +48,6 @@ pub struct ChaosSpec {
     /// [`Executor::Sync`] or [`Executor::Naive`] *is* the differential
     /// check against the default calendar driver.
     pub executor: Executor,
-    /// Send-half-step shard count every trial runs under. Like the
-    /// executor, shard counts are bit-identical, so this knob is part of
-    /// the same differential surface (CI `cmp`s shards 1 vs 2 matrices).
-    pub shards: Option<u32>,
     /// Optional [`EnergyModel`] every trial charges against. Fills the
     /// report's energy column; a budgeted model adds the
     /// `energy` typed-failure bucket when nodes starve.
@@ -65,7 +61,6 @@ impl Default for ChaosSpec {
             sizes: vec![8, 12],
             trials: 2,
             executor: Executor::Calendar,
-            shards: None,
             energy: None,
         }
     }
@@ -293,9 +288,6 @@ fn run_trial(
     let mut opts = ExecOptions::seeded(seed)
         .with_faults(plan)
         .with_executor(spec.executor);
-    if let Some(shards) = spec.shards {
-        opts = opts.with_shards(shards);
-    }
     if let Some(model) = spec.energy {
         opts = opts.with_energy(model);
     }
@@ -538,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn energy_column_is_populated_and_bit_identical_across_executors_and_shards() {
+    fn energy_column_is_populated_and_bit_identical_across_executors() {
         let spec = ChaosSpec {
             seed: 5,
             sizes: vec![6],
@@ -559,8 +551,8 @@ mod tests {
                 t.level
             );
         }
-        // The ledger is part of the differential surface: executors and
-        // shard counts must produce the same matrix bytes.
+        // The ledger is part of the differential surface: every executor
+        // must produce the same matrix bytes.
         for executor in [Executor::Sync, Executor::Naive] {
             let other = run_chaos(&ChaosSpec {
                 executor,
@@ -568,11 +560,6 @@ mod tests {
             });
             assert_eq!(json, other.to_json(), "{executor}");
         }
-        let sharded = run_chaos(&ChaosSpec {
-            shards: Some(2),
-            ..spec.clone()
-        });
-        assert_eq!(json, sharded.to_json(), "shards=2");
     }
 
     #[test]

@@ -24,10 +24,9 @@
 //! The scale campaign added a second workload: **wave**, in which every
 //! node wakes in the same synchronized rounds (the opposite regime from
 //! sparse wakes — maximally wide rounds on a streaming-built chorded
-//! cycle). Wide rounds are where [`netsim::SimConfig::shards`] can win,
-//! so the wave rows sweep shard counts and the panel asserts
-//! bit-identical [`netsim::RunStats`] across them, exactly as it does
-//! across drivers.
+//! cycle). Each wave size is timed once, under the calendar driver; the
+//! rows report the send-heavy cost of wide rounds and the CSR memory
+//! columns.
 
 use graphlib::{generators, GraphBuilder, Port, WeightedGraph};
 use netsim::{
@@ -35,7 +34,7 @@ use netsim::{
 };
 
 /// What the panel sweeps: sizes × drivers for the sparse workload, sizes
-/// × shard counts for the wave workload, plus the wake-schedule shape.
+/// for the wave workload, plus the wake-schedule shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnginePanelSpec {
     /// Node counts to run the sparse workload on (one graph per size).
@@ -52,13 +51,9 @@ pub struct EnginePanelSpec {
     pub gap_per_node: u64,
     /// Node counts to run the wave workload on (empty = no wave rows).
     pub wave_sizes: Vec<usize>,
-    /// Shard counts to time on each wave size; `1` is the serial
-    /// baseline the speedup column is measured against.
-    pub shards: Vec<u32>,
     /// Optional pricing model charged inside the kernel. When set, every
     /// row carries an `energy_total` ledger sum, and the panel's existing
-    /// cross-driver / cross-shard [`netsim::RunStats`] equality check
-    /// extends to the per-node energy ledger for free (the ledger lives
+    /// cross-driver [`netsim::RunStats`] equality check extends to the per-node energy ledger for free (the ledger lives
     /// in the stats).
     pub energy: Option<EnergyModel>,
 }
@@ -72,14 +67,13 @@ impl Default for EnginePanelSpec {
             wakes: 3,
             gap_per_node: 4096,
             wave_sizes: Vec::new(),
-            shards: vec![1],
             energy: Some(EnergyModel::reference()),
         }
     }
 }
 
-/// One timed panel cell: a sparse (size, driver) pair at `shards = 1`,
-/// or a wave (size, shard-count) pair under the calendar driver.
+/// One timed panel cell: a sparse (size, driver) pair, or a wave size
+/// under the calendar driver.
 #[derive(Debug, Clone)]
 pub struct EnginePanelRow {
     /// Which workload produced the row: `"sparse"` or `"wave"`.
@@ -88,8 +82,6 @@ pub struct EnginePanelRow {
     pub n: usize,
     /// The driver timed.
     pub executor: Executor,
-    /// Send-half-step shard count the row was timed with.
-    pub shards: u32,
     /// Simulated rounds until the last node halted.
     pub rounds: u64,
     /// Messages sent (delivered + lost to sleeping receivers).
@@ -179,14 +171,14 @@ impl Protocol for SparseWake {
 
 /// Rounds between the wave workload's synchronized wakes. Large enough
 /// that the calendar driver still exercises its jump path between
-/// waves; irrelevant to the per-wave send cost the shard sweep times.
+/// waves; irrelevant to the per-wave send cost the wave rows time.
 const WAVE_GAP: u64 = 64;
 
 /// The wave workload: every node wakes in the same rounds
 /// (`WAVE_GAP, 2·WAVE_GAP, …`), sends one seed-derived message on every
 /// port, and halts after [`EnginePanelSpec::wakes`] waves. Each active
-/// round has all `n` nodes awake — the maximally wide regime where the
-/// sharded send half-step can spread work across cores.
+/// round has all `n` nodes awake — the maximally wide regime, where the
+/// send half-step dominates.
 struct WaveWake {
     state: u64,
     remaining: u32,
@@ -312,7 +304,6 @@ pub fn run_engine_panel(spec: &EnginePanelSpec) -> Result<Vec<EnginePanelRow>, S
                 workload: "sparse",
                 n,
                 executor,
-                shards: 1,
                 rounds: out.stats.rounds,
                 messages,
                 graph_bytes: out.stats.graph_bytes,
@@ -330,49 +321,31 @@ pub fn run_engine_panel(spec: &EnginePanelSpec) -> Result<Vec<EnginePanelRow>, S
         // graph's own CSR arrays (`graph_bytes` reports them).
         let graph = generators::chorded_cycle(n.max(8), 2, spec.seed)
             .map_err(|e| format!("engine panel wave n={n}: {e}"))?;
-        let mut reference: Option<netsim::RunStats> = None;
-        for &shards in &spec.shards {
-            let mut config = SimConfig::default()
-                .with_seed(spec.seed)
-                .with_shards(shards);
-            if let Some(model) = spec.energy {
-                config = config.with_energy(model);
-            }
-            let sim = Simulator::new(&graph, config);
-            // lint:allow(wall-clock) -- the shard sweep times real elapsed time per shard count
-            let started = std::time::Instant::now();
-            let out = sim
-                .run(|ctx| WaveWake::new(ctx, spec.wakes))
-                .map_err(|e| format!("engine panel wave n={n} shards={shards}: {e}"))?;
-            let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
-            match &reference {
-                None => reference = Some(out.stats.clone()),
-                Some(first) => {
-                    if *first != out.stats {
-                        return Err(format!(
-                            "engine panel wave n={n}: shards={shards} diverged from \
-                             shards={} ({:?} vs {:?})",
-                            spec.shards[0], out.stats, first
-                        ));
-                    }
-                }
-            }
-            let messages = out.stats.messages_delivered + out.stats.messages_lost;
-            rows.push(EnginePanelRow {
-                workload: "wave",
-                n,
-                executor: Executor::Calendar,
-                shards,
-                rounds: out.stats.rounds,
-                messages,
-                graph_bytes: out.stats.graph_bytes,
-                bytes_per_node: out.stats.graph_bytes as f64 / n.max(1) as f64,
-                energy_total: out.stats.energy_total(),
-                wall_seconds,
-                rounds_per_sec: out.stats.rounds as f64 / wall_seconds,
-                messages_per_sec: messages as f64 / wall_seconds,
-            });
+        let mut config = SimConfig::default().with_seed(spec.seed);
+        if let Some(model) = spec.energy {
+            config = config.with_energy(model);
         }
+        let sim = Simulator::new(&graph, config);
+        // lint:allow(wall-clock) -- the wave rows time real elapsed time per size
+        let started = std::time::Instant::now();
+        let out = sim
+            .run(|ctx| WaveWake::new(ctx, spec.wakes))
+            .map_err(|e| format!("engine panel wave n={n}: {e}"))?;
+        let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
+        let messages = out.stats.messages_delivered + out.stats.messages_lost;
+        rows.push(EnginePanelRow {
+            workload: "wave",
+            n,
+            executor: Executor::Calendar,
+            rounds: out.stats.rounds,
+            messages,
+            graph_bytes: out.stats.graph_bytes,
+            bytes_per_node: out.stats.graph_bytes as f64 / n.max(1) as f64,
+            energy_total: out.stats.energy_total(),
+            wall_seconds,
+            rounds_per_sec: out.stats.rounds as f64 / wall_seconds,
+            messages_per_sec: messages as f64 / wall_seconds,
+        });
     }
     Ok(rows)
 }
@@ -385,14 +358,13 @@ pub fn render_engine_panel_json(rows: &[EnginePanelRow]) -> String {
         .iter()
         .map(|r| {
             format!(
-                "{{\"workload\":\"{}\",\"n\":{},\"executor\":\"{}\",\"shards\":{},\
+                "{{\"workload\":\"{}\",\"n\":{},\"executor\":\"{}\",\
                  \"rounds\":{},\"messages\":{},\"graph_bytes\":{},\
                  \"bytes_per_node\":{:.2},\"energy_total\":{},\"wall_seconds\":{:.6},\
                  \"rounds_per_sec\":{:.1},\"messages_per_sec\":{:.1}}}",
                 r.workload,
                 r.n,
                 r.executor,
-                r.shards,
                 r.rounds,
                 r.messages,
                 r.graph_bytes,
@@ -433,7 +405,6 @@ mod tests {
             wakes: 3,
             gap_per_node: 4,
             wave_sizes: vec![],
-            shards: vec![1],
             energy: Some(EnergyModel::reference()),
         };
         let rows = run_engine_panel(&spec).unwrap();
@@ -454,36 +425,33 @@ mod tests {
         assert_eq!(json.matches("\"energy_total\"").count(), 6);
     }
 
-    /// Wave rows must agree bit-for-bit across shard counts, including
-    /// counts that actually engage the parallel path (n = 256 ≥ the
-    /// kernel's minimum-awake gate) and report the memory columns.
+    /// Each wave size yields one calendar-driver row that reports the
+    /// energy ledger and the memory columns.
     #[test]
-    fn wave_rows_agree_across_shard_counts() {
+    fn wave_rows_time_each_size_once() {
         let spec = EnginePanelSpec {
             sizes: vec![],
             executors: vec![],
             seed: 5,
             wakes: 2,
             gap_per_node: 4,
-            wave_sizes: vec![256],
-            shards: vec![1, 2, 3],
+            wave_sizes: vec![64, 256],
             energy: Some(EnergyModel::reference()),
         };
         let rows = run_engine_panel(&spec).unwrap();
-        assert_eq!(rows.len(), 3);
-        for row in &rows {
+        assert_eq!(rows.len(), 2);
+        for (row, n) in rows.iter().zip([64, 256]) {
             assert_eq!(row.workload, "wave");
-            assert_eq!(row.rounds, rows[0].rounds);
-            assert_eq!(row.messages, rows[0].messages);
+            assert_eq!(row.n, n);
+            assert_eq!(row.executor, Executor::Calendar);
             assert!(row.energy_total > 0);
-            assert_eq!(row.energy_total, rows[0].energy_total);
             assert!(row.graph_bytes > 0);
             assert!(row.bytes_per_node > 0.0);
+            // Every node awake in every wave: messages = sum of degrees × waves.
+            assert!(row.messages >= 2 * 2 * n as u64);
         }
-        // Every node awake in every wave: messages = sum of degrees × waves.
-        assert!(rows[0].messages >= 2 * 2 * 256);
         let json = render_engine_panel_json(&rows);
-        assert_eq!(json.matches("\"workload\":\"wave\"").count(), 3);
+        assert_eq!(json.matches("\"workload\":\"wave\"").count(), 2);
         assert!(json.contains("\"graph_bytes\""));
     }
 

@@ -97,7 +97,6 @@ pub struct Sweep<'a> {
     seeds: Vec<u64>,
     threads: usize,
     executor: Option<Executor>,
-    shards: Option<u32>,
     energy: Option<EnergyModel>,
 }
 
@@ -113,7 +112,6 @@ impl<'a> Sweep<'a> {
             seeds: vec![0],
             threads: 0,
             executor: None,
-            shards: None,
             energy: None,
         }
     }
@@ -170,21 +168,12 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Pins the send-half-step shard count for registry trials. Like the
-    /// driver choice, shard counts are bit-identical — the cross-shard
-    /// sweep test pins it — so results do not depend on this value; it
-    /// only trades wall-clock for cores within each trial.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
     /// Prices every registry trial under `model` (see
     /// [`netsim::EnergyModel`]). Charging happens inside the one
     /// execution kernel, so the resulting per-node ledgers are
-    /// bit-identical across drivers, shard counts, and thread counts
-    /// like every other stat. A model with a budget can make trials fail
-    /// with the typed [`mst_core::RunError::EnergyExhausted`]. Custom
+    /// bit-identical across drivers and thread counts like every other
+    /// stat. A model with a budget can make trials fail with the typed
+    /// [`mst_core::RunError::EnergyExhausted`]. Custom
     /// [`Sweep::algorithm_fn`] runners ignore this knob.
     pub fn energy(mut self, model: EnergyModel) -> Self {
         self.energy = Some(model);
@@ -267,9 +256,6 @@ impl<'a> Sweep<'a> {
                 let mut opts = ExecOptions::seeded(seed);
                 if let Some(executor) = self.executor {
                     opts = opts.with_executor(executor);
-                }
-                if let Some(shards) = self.shards {
-                    opts = opts.with_shards(shards);
                 }
                 if let Some(model) = self.energy {
                     opts = opts.with_energy(model);
@@ -517,35 +503,6 @@ mod tests {
             assert_eq!(calendar.len(), other.len());
             for (a, b) in calendar.iter().zip(&other) {
                 assert_eq!(a.stats, b.stats, "{executor} {} n={}", a.algorithm, a.n);
-                assert_eq!(a.tree_edges, b.tree_edges);
-                assert_eq!(a.total_weight, b.total_weight);
-                assert_eq!(a.phases, b.phases);
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_is_bit_identical_across_shard_counts() {
-        let build = |shards| {
-            Sweep::new(&ring_family)
-                .algorithm(registry::find("randomized").unwrap())
-                .sizes([8, 16])
-                .seeds(0..2)
-                .threads(1)
-                .shards(shards)
-                .run()
-                .unwrap()
-        };
-        let serial = build(1);
-        for shards in [2, 4] {
-            let sharded = build(shards);
-            assert_eq!(serial.len(), sharded.len());
-            for (a, b) in serial.iter().zip(&sharded) {
-                assert_eq!(
-                    a.stats, b.stats,
-                    "shards={shards} {} n={}",
-                    a.algorithm, a.n
-                );
                 assert_eq!(a.tree_edges, b.tree_edges);
                 assert_eq!(a.total_weight, b.total_weight);
                 assert_eq!(a.phases, b.phases);

@@ -12,7 +12,7 @@
 //! ```json
 //! {"id":1,"cmd":"run","alg":"randomized","graph":"ring:64","seed":7}
 //! {"id":2,"cmd":"run","alg":"logstar","graph":"grid:4x8","seed":1,
-//!  "executor":"calendar","shards":4,
+//!  "executor":"calendar",
 //!  "faults":{"fault_seed":9,"drop_ppm":200,"crashes":[[3,40]]}}
 //! {"id":3,"cmd":"sweep","algs":"randomized,aa",
 //!  "template":"ring:{n}","sizes":[16,32],"seeds":[0,1]}
@@ -72,6 +72,12 @@ pub mod codes {
 // JSON values
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The request
+/// grammar nests at most 3 deep; the cap keeps the recursive descent's
+/// stack use bounded, so a line of `[[[[…` gets a typed parse error
+/// instead of overflowing the connection thread's stack.
+const MAX_JSON_DEPTH: usize = 64;
+
 /// A parsed JSON value. Objects keep insertion order in a `Vec` (no
 /// hashing anywhere near the wire), numbers keep their raw spelling.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +101,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -151,8 +157,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at offset {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -168,7 +181,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -193,7 +206,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -436,10 +449,6 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, RequestError> {
                 graph: field("graph")?,
                 seed: doc.get("seed").and_then(Json::as_u64).unwrap_or(0),
                 executor,
-                shards: doc
-                    .get("shards")
-                    .and_then(Json::as_u64)
-                    .map(|n| n.max(1) as u32),
                 faults: parse_fault_plan(doc.get("faults")).map_err(&parse_fail)?,
                 energy,
             };
@@ -740,6 +749,36 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "nulll", "{\"a\":1}x", "\"\\q\""] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn json_nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // Objects count toward the same cap as arrays.
+        let objects = format!("{}1{}", "{\"a\":".repeat(65), "}".repeat(65));
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    /// Old clients may still send the removed `shards` knob; it is an
+    /// unknown field now, ignored like any other, so the request maps to
+    /// the same canonical run and cache slot as one without it.
+    #[test]
+    fn a_stale_shards_field_is_ignored() {
+        let canonical = |line: &str| match parse_request(line).unwrap().request {
+            Request::Run(run) => run,
+            other => panic!("expected a run request, got {other:?}"),
+        };
+        let plain =
+            canonical(r#"{"id":1,"cmd":"run","alg":"randomized","graph":"ring:8","seed":7}"#);
+        let stale = canonical(
+            r#"{"id":1,"cmd":"run","alg":"randomized","graph":"ring:8","seed":7,"shards":4}"#,
+        );
+        assert_eq!(plain, stale);
+        assert_eq!(plain.cache_key(), stale.cache_key());
+        assert_eq!(plain.fingerprint(), stale.fingerprint());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The paper's guarantees (Section 1.1) and every number in
 //! `EXPERIMENTS.md` rest on the simulation being a *deterministic*
-//! implementation of the sleeping model — and since the sharded send
-//! half-step put real threads inside the kernel, on that parallelism
-//! being confined to provably disjoint state. This crate enforces the
+//! implementation of the sleeping model — and since sweep and serve
+//! workers execute runs on parallel threads, on concurrent runs sharing
+//! no mutable state. This crate enforces the
 //! source hygiene that keeps both true; the dynamic half (the trace
 //! auditor) lives in `netsim::validate`. No external dependencies: the
 //! analyzer is a real tokenizer ([`lexer`]) plus a lightweight scope
@@ -25,19 +25,18 @@
 //! | `bare-unwrap` | netsim, core, non-test | `.unwrap()` with no message: hot-path panics must be typed errors or `.expect("reason")` documenting the invariant |
 //! | `engine-panic-path` | `netsim/src/engine.rs`, `netsim/src/sim.rs`, non-test | any panic machinery (`unwrap`, `expect`, `panic!`, `unreachable!`, …): the executor hot path returns `SimError`, never panics |
 //! | `fault-stream` | `netsim/src/faults.rs`, non-test | touching any RNG source other than the plan's own `fault_seed` (`master_seed`, `rng_seed`, `thread_rng`, `SmallRng`): fault decisions must be a pure function of `(fault_seed, tag, round, edge)` so both executors reach identical verdicts and `run --json` replays exactly |
-//! | `shard-safety` | lane-executed code, non-test | shared-mutable primitives (`Mutex`, `RwLock`, `Atomic*`, `Cell`, `RefCell`, `UnsafeCell`, `OnceLock`/`OnceCell`/`LazyLock`/`LazyCell`, `thread_local!`, `static mut`, `mpsc`) and unordered parallel iteration (`rayon`, `par_iter` & friends): shard workers may touch only disjoint state, merged in lane order |
+//! | `shard-safety` | lane-executed code, non-test | shared-mutable primitives (`Mutex`, `RwLock`, `Atomic*`, `Cell`, `RefCell`, `UnsafeCell`, `OnceLock`/`OnceCell`/`LazyLock`/`LazyCell`, `thread_local!`, `static mut`, `mpsc`) and unordered parallel iteration (`rayon`, `par_iter` & friends): sweep and serve workers run kernels and protocols on parallel threads, so process-global mutable state would couple concurrent runs; a run may touch only its own state, in serial node order |
 //! | `determinism` | netsim, core, graphlib, lowerbound + every `Protocol` impl, non-test | `f32`/`f64` types, casts, and float-shaped literals (weights are `u64`; float creep is the classic way fingerprints rot) and `sort_unstable_by`/`sort_unstable_by_key` (tied keys reorder across toolchains; plain `sort_unstable` on the values themselves is fine — equal values are indistinguishable) |
 //! | `bad-pragma` | everywhere | a `lint:allow` pragma naming an unknown rule or missing its ` -- reason` |
 //! | `stale-pragma` | everywhere | a well-formed `lint:allow` that suppresses nothing: the code it covered is gone, so the waiver must go too |
 //!
-//! **Lane-executed code** is everything a shard worker can run during
-//! the parallel send half-step: all of `netsim` (the kernel, drivers,
-//! and executor machinery), `mst-core` except the orchestration layer
-//! above the kernel (`exec.rs`, `runner.rs`, `registry.rs`), and the
-//! body of *any* `impl … Protocol for …` block wherever it lives
-//! (protocol `send` runs inside shard workers — the scope tracker marks
-//! these blocks, so a bench workload protocol is held to the same rule
-//! as a netsim one).
+//! **Lane-executed code** is everything a run executes on its worker
+//! thread (its lane): all of `netsim` (the kernel, drivers, and executor
+//! machinery), `mst-core` except the orchestration layer above the
+//! kernel (`exec.rs`, `runner.rs`, `registry.rs`), and the body of *any*
+//! `impl … Protocol for …` block wherever it lives (protocol code runs
+//! inside every run — the scope tracker marks these blocks, so a bench
+//! workload protocol is held to the same rule as a netsim one).
 //!
 //! `graphlib` is deliberately outside the `hash-container` scope: its
 //! hash sets back membership-only rejection sampling (insert/contains,
@@ -213,7 +212,7 @@ struct FileCtx<'a> {
     /// the plan's own `fault_seed`, never the protocol RNG streams.
     is_fault_plane: bool,
     /// Lane-executed file: every line is in `shard-safety` scope (the
-    /// kernel, drivers, and protocol-state modules a shard worker runs).
+    /// kernel, drivers, and protocol-state modules every run executes).
     is_lane_file: bool,
     /// Deterministic-state crate: every non-test line is in
     /// `determinism` scope.
@@ -565,9 +564,10 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                         hit(
                             "shard-safety",
                             format!(
-                                "shared-mutable primitive `{r}` in lane-executed code; shard \
-                                 workers must touch only disjoint state, merged in lane \
-                                 order (DESIGN.md, \"Memory layout & sharding\")"
+                                "shared-mutable primitive `{r}` in lane-executed code; sweep \
+                                 and serve workers run kernels on parallel threads, so shared \
+                                 mutable state couples concurrent runs (DESIGN.md, \"Model \
+                                 conformance\")"
                             ),
                             &mut matched,
                         );
@@ -576,24 +576,24 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                             "shard-safety",
                             format!(
                                 "unordered parallel iteration (`{r}`) in lane-executed \
-                                 code; lane order is the determinism contract — partition \
-                                 explicitly and merge in lane order"
+                                 code; serial node order is the determinism contract"
                             ),
                             &mut matched,
                         );
                     } else if is_macro(&toks, i, "thread_local") {
                         hit(
                             "shard-safety",
-                            "`thread_local!` state in lane-executed code diverges per \
-                             shard worker; keep per-lane state in ShardScratch"
+                            "`thread_local!` state in lane-executed code outlives the \
+                             run and leaks into the next run on the same worker thread; \
+                             keep per-run state in the executor scratch"
                                 .to_string(),
                             &mut matched,
                         );
                     } else if is_ident(&toks, i, "static") && is_ident(&toks, i + 1, "mut") {
                         hit(
                             "shard-safety",
-                            "`static mut` in lane-executed code is a data race waiting for \
-                             a second shard; keep state in the kernel's buffers"
+                            "`static mut` in lane-executed code is a data race between \
+                             concurrent runs; keep state in the kernel's buffers"
                                 .to_string(),
                             &mut matched,
                         );
@@ -1102,8 +1102,8 @@ mod tests {
 
     #[test]
     fn shard_safety_covers_protocol_impls_anywhere_and_aliases() {
-        // A Protocol impl in bench is lane-executed: the engine calls its
-        // send() from shard workers.
+        // A Protocol impl in bench is lane-executed: sweep and serve
+        // workers run it on parallel threads.
         let src =
             "impl Protocol for Wave {\n    fn send(&mut self) { let m = Mutex::new(0); }\n}\n";
         assert_eq!(

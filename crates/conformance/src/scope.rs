@@ -10,10 +10,11 @@
 //! * **`Protocol` impl blocks** — the body of any
 //!   `impl … Protocol for …` (the trait segment immediately before
 //!   `for` must end in `Protocol`, so `RadioProtocol` counts and a
-//!   `P: Protocol` bound on some other impl does not). Protocol `send`
-//!   runs inside shard workers, so these blocks are lane-executed code
-//!   wherever the file lives — the `shard-safety` and `determinism`
-//!   families apply inside them.
+//!   `P: Protocol` bound on some other impl does not). Protocol code
+//!   runs inside every run, and sweep and serve workers execute runs on
+//!   parallel threads, so these blocks are lane-executed code wherever
+//!   the file lives — the `shard-safety` and `determinism` families
+//!   apply inside them.
 //! * **`use` aliases** — `use std::sync::Mutex as Lock;` makes `Lock`
 //!   the name to lint. Every `… as alias` pair in a `use` declaration
 //!   (grouped imports included) is recorded so rules resolve aliases

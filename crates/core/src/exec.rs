@@ -46,10 +46,6 @@ pub struct ExecOptions {
     /// registry entry). All drivers are bit-identical; this knob only
     /// changes wall-clock cost.
     pub executor: Option<Executor>,
-    /// Send-half-step shard count ([`SimConfig::shards`]). `None` keeps
-    /// the serial default. Like the executor choice, shard counts are
-    /// bit-identical — they trade wall-clock for cores, nothing else.
-    pub shards: Option<u32>,
     /// Energy model to charge against, if any. `None` — and inert models
     /// (all costs zero, no matter the budget) — take the exact no-energy
     /// execution path. A budgeted model engages the same watchdog and
@@ -92,12 +88,6 @@ impl ExecOptions {
     /// Selects the time driver for the run.
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = Some(executor);
-        self
-    }
-
-    /// Selects the send-half-step shard count for the run.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = Some(shards);
         self
     }
 
@@ -151,9 +141,6 @@ impl ExecOptions {
         }
         if let Some(executor) = self.executor {
             config = config.with_executor(executor);
-        }
-        if let Some(shards) = self.shards {
-            config = config.with_shards(shards);
         }
         if let Some(model) = self.energy {
             config = config.with_energy(model);

@@ -114,7 +114,7 @@ pub enum RunError {
     /// to a first-class run-layer error so chaos harnesses classify
     /// energy starvation apart from other simulator failures. Carries
     /// the run's *first* exhaustion, adjudicated in serial node order —
-    /// identical across drivers and shard counts.
+    /// identical across drivers.
     EnergyExhausted {
         /// The first node to exhaust its budget.
         node: NodeId,

@@ -12,9 +12,6 @@
 //!   the cross-driver differential proptests and the CI artifact `cmp`s),
 //!   so a `sync` request can be served from a result a `calendar` worker
 //!   computed;
-//! * **shards** — sharded send half-steps are byte-identical to serial
-//!   execution for every shard count (`tests/shard_boundary.rs`, CI
-//!   shards-1/2 `cmp`), so the shard knob is likewise erased;
 //! * **inert fault plans** — a plan whose every intensity is zero takes
 //!   the exact no-fault execution path
 //!   ([`ExecOptions::active_faults`]), so it normalizes to "no plan" and
@@ -63,9 +60,6 @@ pub struct RunRequest {
     /// Requested time driver. Does not change output bytes; erased from
     /// the cache key, honored at execution time.
     pub executor: Option<Executor>,
-    /// Requested send-half-step shard count. Likewise bit-identical,
-    /// likewise erased from the key.
-    pub shards: Option<u32>,
     /// Fault plan; an inert plan canonicalizes to "no plan".
     pub faults: FaultPlan,
     /// Energy model to charge against; an inert model (all costs zero)
@@ -94,8 +88,6 @@ pub struct CanonicalRun {
     pub energy: Option<EnergyModel>,
     /// Execution-only: requested driver (excluded from the key).
     pub executor: Option<Executor>,
-    /// Execution-only: requested shard count (excluded from the key).
-    pub shards: Option<u32>,
 }
 
 impl RunRequest {
@@ -122,15 +114,14 @@ impl RunRequest {
             faults: Some(self.faults.clone()).filter(|p| !p.is_inert()),
             energy: self.energy.filter(|m| !m.is_inert()),
             executor: self.executor,
-            shards: self.shards,
         })
     }
 }
 
 impl CanonicalRun {
     /// The canonical cache-key string. Everything that can change output
-    /// bytes is in here; everything proven bit-identical (executor,
-    /// shards) is not. Inert fault plans render as the empty fault
+    /// bytes is in here; everything proven bit-identical (the executor)
+    /// is not. Inert fault plans render as the empty fault
     /// field, sharing the plain run's slot.
     pub fn cache_key(&self) -> String {
         let mut key = format!(
@@ -170,8 +161,8 @@ impl CanonicalRun {
     }
 
     /// The [`ExecOptions`] this request executes under. The
-    /// execution-only knobs (executor, shards) are honored here even
-    /// though the cache key erased them.
+    /// execution-only executor choice is honored here even though the
+    /// cache key erased it.
     pub fn exec_options(&self) -> ExecOptions {
         let mut opts = ExecOptions::seeded(self.seed);
         if let Some(plan) = &self.faults {
@@ -179,9 +170,6 @@ impl CanonicalRun {
         }
         if let Some(executor) = self.executor {
             opts = opts.with_executor(executor);
-        }
-        if let Some(shards) = self.shards {
-            opts = opts.with_shards(shards);
         }
         if let Some(model) = self.energy {
             opts = opts.with_energy(model);
@@ -218,16 +206,14 @@ mod tests {
     }
 
     #[test]
-    fn executor_and_shards_are_erased_from_the_key_but_kept_for_execution() {
+    fn executor_is_erased_from_the_key_but_kept_for_execution() {
         let mut req = request("randomized", "ring:16", 7);
         let plain = req.canonicalize().unwrap();
         req.executor = Some(Executor::Sync);
-        req.shards = Some(4);
         let tuned = req.canonicalize().unwrap();
         assert_eq!(plain.cache_key(), tuned.cache_key());
         assert_eq!(plain.fingerprint(), tuned.fingerprint());
         assert_eq!(tuned.exec_options().executor, Some(Executor::Sync));
-        assert_eq!(tuned.exec_options().shards, Some(4));
         assert_eq!(plain.exec_options().executor, None);
     }
 

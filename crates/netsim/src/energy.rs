@@ -23,7 +23,7 @@
 //!
 //! All charging happens inside the one generic `run_kernel`, as
 //! order-independent `u64` sums — the per-node ledger is bit-identical
-//! across {sync, calendar, naive} × every shard count (the energy
+//! across the sync, calendar, and naive drivers (the energy
 //! differential and conservation suites pin this). The ledger satisfies
 //! the conservation identity
 //!

@@ -50,35 +50,6 @@ use crate::{
     Round, RunOutcome, RunStats, SimConfig, SimError, Trace, TraceEvent, WakePolicy,
 };
 
-/// Rounds with fewer awake nodes than this run the send half-step
-/// serially even when [`SimConfig::shards`] asks for more shards: below
-/// it, the per-round cost of spawning scoped worker threads dwarfs the
-/// send work itself (the paper's token-passing phases wake one or two
-/// nodes per round). The outcome is bit-identical either way — the
-/// threshold only picks which code path computes it.
-const SHARD_MIN_AWAKE: usize = 128;
-
-/// The shard-engagement decision, as a pure function: `Some(chunk_len)`
-/// when the send half-step of a round with `awake_len` awake nodes runs
-/// sharded (the ascending awake set is split into contiguous chunks of
-/// `chunk_len`, one lane per chunk), `None` when it runs serially.
-///
-/// This is the *entire* input surface of the decision — the awake set's
-/// size, the configured shard count, and whether the run is traced
-/// (trace payload formatting is inherently sequential). Nothing else:
-/// not wall-clock, not load, not thread identity. `tests/shard_boundary.rs`
-/// pins the purity and the 127/128/129 engagement boundary.
-#[must_use]
-pub fn shard_chunk_len(awake_len: usize, shards: u32, record_trace: bool) -> Option<usize> {
-    let shard_target = (shards as usize).max(1);
-    let shard_gate = SHARD_MIN_AWAKE.max(shard_target);
-    if shard_target > 1 && !record_trace && awake_len >= shard_gate {
-        Some(awake_len.div_ceil(shard_target))
-    } else {
-        None
-    }
-}
-
 /// Which time driver executes a run.
 ///
 /// All three produce bit-identical outcomes (final states, stats, trace,
@@ -279,159 +250,6 @@ fn route_envelope<M: Payload>(
     ))
 }
 
-/// Outcome class of one routed send attempt, recorded by a shard worker
-/// and replayed into the shared stats/metrics by the deterministic merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SentKind {
-    /// Delivered to an awake receiver (one arena envelope).
-    Delivered,
-    /// Delivered plus an injected duplicate (two arena envelopes).
-    DeliveredDup,
-    /// Lost: the receiver was asleep (a model loss).
-    Lost,
-    /// Destroyed in flight by an injected drop fault.
-    Dropped,
-}
-
-/// One adjudicated send attempt, in a shard worker's send order. Holds
-/// exactly what the merge needs to replay the serial path's accounting:
-/// the sender (the energy ledger charges transmit bits to it), the
-/// receiver (stats + inbox slot), the wire size, the edge, and the
-/// outcome.
-#[derive(Debug, Clone, Copy)]
-struct SentRecord {
-    from: u32,
-    to: u32,
-    edge: u32,
-    bits: u64,
-    kind: SentKind,
-}
-
-/// Per-shard working buffers for the parallel send half-step, reused
-/// across rounds (and runs) like every other executor buffer.
-#[derive(Debug)]
-struct ShardScratch<M> {
-    outbox: Outbox<M>,
-    /// Delivered envelopes of this shard's nodes, in send order.
-    arena: Vec<Envelope<M>>,
-    /// Every adjudicated send attempt of this shard, in send order.
-    records: Vec<SentRecord>,
-    /// First validation error hit by this shard, if any; the worker
-    /// stops at it, exactly where the serial path would abort.
-    error: Option<SimError>,
-}
-
-impl<M> ShardScratch<M> {
-    fn new() -> Self {
-        ShardScratch {
-            outbox: Outbox::new(),
-            arena: Vec::new(),
-            records: Vec::new(),
-            error: None,
-        }
-    }
-}
-
-/// Send half-step of one shard: runs `send` for a contiguous slice of
-/// the round's awake set and adjudicates every envelope — validation,
-/// routing via the precomputed back port, fault verdicts (pure functions
-/// of the plan's seed, so every worker reaches the serial verdicts), and
-/// the awake check against the round's stamp — exactly as the serial
-/// path does, but records outcomes into shard-local buffers instead of
-/// the shared stats. The kernel's merge replays them in shard order,
-/// which *is* serial node order (shards partition the ascending awake
-/// set into contiguous runs), so the accounting is reproduced bit for
-/// bit.
-#[allow(clippy::too_many_arguments)]
-fn shard_send<P: Protocol>(
-    graph: &WeightedGraph,
-    bit_limit: Option<usize>,
-    faults: Option<&FaultPlan>,
-    round: Round,
-    awake_stamp: &[Round],
-    ctxs: &[NodeCtx],
-    part: &mut [P],
-    part_base: usize,
-    chunk: &[u32],
-    lane: &mut ShardScratch<P::Msg>,
-) {
-    lane.arena.clear();
-    lane.records.clear();
-    lane.error = None;
-    for &v in chunk {
-        let node = NodeId::new(v);
-        lane.outbox.clear();
-        part[v as usize - part_base].send(&ctxs[v as usize], round, &mut lane.outbox);
-        for Envelope { port, msg } in lane.outbox.drain() {
-            if port.index() >= graph.degree(node) {
-                lane.error = Some(SimError::PortOutOfRange { node, port, round });
-                return;
-            }
-            let bits = msg.bit_size();
-            if let Some(limit) = bit_limit {
-                if bits > limit {
-                    lane.error = Some(SimError::MessageTooLarge {
-                        node,
-                        round,
-                        bits,
-                        limit,
-                    });
-                    return;
-                }
-            }
-            let entry = graph.port_entry(node, port);
-            let to = entry.neighbor.raw();
-            let edge = entry.edge.index() as u32;
-            let bits = bits as u64;
-            if let Some(plan) = faults {
-                if plan.drops(round, v, port.raw()) {
-                    lane.records.push(SentRecord {
-                        from: v,
-                        to,
-                        edge,
-                        bits,
-                        kind: SentKind::Dropped,
-                    });
-                    continue;
-                }
-            }
-            if awake_stamp[to as usize] == round {
-                let dup = match faults {
-                    Some(plan) => plan.duplicates(round, v, port.raw()),
-                    None => false,
-                };
-                if dup {
-                    lane.records.push(SentRecord {
-                        from: v,
-                        to,
-                        edge,
-                        bits,
-                        kind: SentKind::DeliveredDup,
-                    });
-                    lane.arena.push(Envelope::new(entry.back_port, msg.clone()));
-                } else {
-                    lane.records.push(SentRecord {
-                        from: v,
-                        to,
-                        edge,
-                        bits,
-                        kind: SentKind::Delivered,
-                    });
-                }
-                lane.arena.push(Envelope::new(entry.back_port, msg));
-            } else {
-                lane.records.push(SentRecord {
-                    from: v,
-                    to,
-                    edge,
-                    bits,
-                    kind: SentKind::Lost,
-                });
-            }
-        }
-    }
-}
-
 /// The scheduled-wake priority queue with lazy deletion.
 ///
 /// `schedule` may supersede an earlier, not-yet-fired entry for the same
@@ -560,13 +378,6 @@ pub struct ExecutorScratch<M> {
     /// `(start, len)` of each awake node's slice of `arena`, by slot.
     inbox_ranges: Vec<(u32, u32)>,
     outbox: Outbox<M>,
-    /// `awake_stamp[v] == r` marks v awake in round r (the kernel's own
-    /// copy of the driver's popped stamp, written once per round from the
-    /// adjudicated awake set so shard workers can read it lock-free).
-    awake_stamp: Vec<Round>,
-    /// Per-shard send buffers (empty until a run with `shards > 1` hits
-    /// a round wide enough to parallelize).
-    shard_lanes: Vec<ShardScratch<M>>,
     stats_pool: Vec<RunStats>,
 }
 
@@ -590,8 +401,6 @@ impl<M> ExecutorScratch<M> {
             perm: Vec::new(),
             inbox_ranges: Vec::new(),
             outbox: Outbox::new(),
-            awake_stamp: Vec::new(),
-            shard_lanes: Vec::new(),
             stats_pool: Vec::new(),
         }
     }
@@ -613,17 +422,6 @@ impl<M> ExecutorScratch<M> {
         self.perm.clear();
         self.inbox_ranges.clear();
         self.outbox.clear();
-        // Stale stamps would mark nodes awake in a round of the *next*
-        // run (rounds restart from 1), so clearing is load-bearing, like
-        // the wake queue's popped stamps.
-        self.awake_stamp.clear();
-        self.awake_stamp.resize(n, 0);
-        for lane in self.shard_lanes.iter_mut() {
-            lane.outbox.clear();
-            lane.arena.clear();
-            lane.records.clear();
-            lane.error = None;
-        }
     }
 
     /// A zeroed [`RunStats`] for an `n`-node, `m`-edge run — recycled
@@ -879,8 +677,6 @@ struct KernelBuffers<'a, M> {
     perm: &'a mut Vec<u32>,
     inbox_ranges: &'a mut Vec<(u32, u32)>,
     outbox: &'a mut Outbox<M>,
-    awake_stamp: &'a mut Vec<Round>,
-    shard_lanes: &'a mut Vec<ShardScratch<M>>,
 }
 
 /// Runs a protocol under the driver selected by [`SimConfig::executor`].
@@ -911,8 +707,6 @@ where
         perm,
         inbox_ranges,
         outbox,
-        awake_stamp,
-        shard_lanes,
         ..
     } = scratch;
     let bufs = KernelBuffers {
@@ -923,8 +717,6 @@ where
         perm,
         inbox_ranges,
         outbox,
-        awake_stamp,
-        shard_lanes,
     };
     match config.executor {
         Executor::Calendar => {
@@ -971,16 +763,13 @@ where
         perm,
         inbox_ranges,
         outbox,
-        awake_stamp,
-        shard_lanes,
     } = bufs;
     let mut trace = Trace::default();
     let faults = active_faults(config);
     // Energy charging and wake-policy transforms live here, in the one
-    // kernel, so every driver and every shard count produces the same
-    // ledger and the same schedule by construction. Both are `None` on
-    // the common path (inert model / identity policy) and cost one
-    // untaken branch per event.
+    // kernel, so every driver produces the same ledger and the same
+    // schedule by construction. Both are `None` on the common path (inert
+    // model / identity policy) and cost one untaken branch per event.
     let energy = active_energy(config);
     let policy = active_policy(config);
     // First budget exhaustion of the run (earliest round, lowest node
@@ -989,11 +778,6 @@ where
     // run itself continues with the node forced asleep, like a crash.
     let mut first_exhausted: Option<(NodeId, Round)> = None;
     stats.graph_bytes = graph.memory_bytes();
-    // Sharding is a pure execution strategy: any round too narrow to
-    // parallelize (or any traced run — trace payload formatting is
-    // inherently sequential) takes the serial path, and the outcomes are
-    // bit-identical either way (the cross-shard differential proptests
-    // pin this). The per-round decision is [`shard_chunk_len`].
     // `None` when metrics are off: the hot path pays one untaken branch
     // per event and execution is bit-identical (pinned fingerprints).
     let mut metrics = if config.record_metrics {
@@ -1076,17 +860,15 @@ where
             rec.start_round(round, awake_now);
         }
         // Awake accounting up front: the awake set is fixed before any
-        // send, so the round stamp (which shard workers read lock-free),
-        // the slot table, the per-node awake counts, and the `Awake`
-        // trace events — which precede the round's buffered
-        // delivery events in the recorded order anyway — are all
-        // independent of how the send half-step executes.
+        // send, so the slot table, the per-node awake counts, and the
+        // `Awake` trace events — which precede the round's buffered
+        // delivery events in the recorded order anyway — are settled
+        // before the send half-step runs.
         // Nano-joules charged this round (round + tx + rx + idle terms),
         // for the metrics timeline; stays 0 without an active model.
         let mut round_energy = 0u64;
         for (slot, &v) in awake_now.iter().enumerate() {
             slot_of[v as usize] = slot as u32;
-            awake_stamp[v as usize] = round;
             stats.awake_by_node[v as usize] += 1;
             if let Some(em) = energy {
                 stats.energy_spent_by_node[v as usize] += em.round_cost;
@@ -1110,149 +892,65 @@ where
         // so their order is driver-independent (see [`record_delivered`]).
         arena.clear();
         slots.clear();
-        if let Some(chunk_len) =
-            shard_chunk_len(awake_now.len(), config.shards, config.record_trace)
-        {
-            // --- Sharded send ---
-            // Partition the ascending awake set into contiguous chunks;
-            // each worker runs its nodes' sends against a disjoint
-            // protocol sub-slice and records adjudicated outcomes into
-            // its own lane. Concatenating the lanes in shard order
-            // reproduces serial node order exactly, so the merge below
-            // replays the identical accounting stream.
-            let lanes_used = awake_now.len().div_ceil(chunk_len);
-            if shard_lanes.len() < lanes_used {
-                shard_lanes.resize_with(lanes_used, ShardScratch::new);
-            }
-            let bit_limit = config.bit_limit;
-            let stamp: &[Round] = awake_stamp;
-            let ctxs_ref: &[NodeCtx] = &ctxs;
-            std::thread::scope(|scope| {
-                let mut rest: &mut [P] = &mut protocols;
-                let mut base = 0usize;
-                for (chunk, lane) in awake_now.chunks(chunk_len).zip(shard_lanes.iter_mut()) {
-                    let Some(&hi) = chunk.last() else { continue };
-                    let take = (hi as usize + 1 - base).min(rest.len());
-                    let (part, tail) = rest.split_at_mut(take);
-                    rest = tail;
-                    let part_base = base;
-                    base = hi as usize + 1;
-                    scope.spawn(move || {
-                        shard_send(
-                            graph, bit_limit, faults, round, stamp, ctxs_ref, part, part_base,
-                            chunk, lane,
-                        );
-                    });
+        for &v in awake_now.iter() {
+            let node = NodeId::new(v);
+            outbox.clear();
+            protocols[v as usize].send(&ctxs[v as usize], round, outbox);
+            for Envelope { port, msg } in outbox.drain() {
+                let (to, recv_port, bits, edge) =
+                    route_envelope(graph, config, &mut stats, node, round, port, &msg)?;
+                if let Some(em) = energy {
+                    // Transmit energy accrues at routing time: the
+                    // sender pays whether the message is delivered,
+                    // lost, or dropped in flight.
+                    let tx = em.tx_bit_cost * bits as u64;
+                    stats.energy_spent_by_node[v as usize] += tx;
+                    round_energy += tx;
                 }
-            });
-            let lanes = &mut shard_lanes[..lanes_used];
-            // First error in lane order = first error in node order =
-            // exactly where the serial path would have aborted.
-            for lane in lanes.iter_mut() {
-                if let Some(err) = lane.error.take() {
-                    return Err(err);
+                if let Some(rec) = metrics.as_mut() {
+                    rec.on_send(edge, bits);
                 }
-            }
-            for lane in lanes.iter_mut() {
-                for rec in lane.records.iter() {
-                    stats.bits_by_edge[rec.edge as usize] += rec.bits;
-                    stats.max_message_bits = stats.max_message_bits.max(rec.bits);
+                if let Some(plan) = faults {
+                    // A dropped message is destroyed in flight after the
+                    // sender paid for it (bits accrued above), regardless
+                    // of the receiver's state — it is an injected fault,
+                    // not a model loss.
+                    if plan.drops(round, v, port.raw()) {
+                        stats.injected_drops += 1;
+                        if let Some(rec) = metrics.as_mut() {
+                            rec.on_dropped();
+                        }
+                        if config.record_trace {
+                            record_dropped(&mut trace_buf, round, v, to);
+                        }
+                        continue;
+                    }
+                }
+                if driver.is_awake_in(to, round) {
+                    stats.messages_delivered += 1;
+                    stats.bits_received_by_node[to as usize] += bits as u64;
                     if let Some(em) = energy {
-                        // The sender pays transmit energy for every routed
-                        // message — lost and dropped ones included, exactly
-                        // as the serial path charges.
-                        let tx = em.tx_bit_cost * rec.bits;
-                        stats.energy_spent_by_node[rec.from as usize] += tx;
-                        round_energy += tx;
-                    }
-                    if let Some(m) = metrics.as_mut() {
-                        m.on_send(rec.edge as usize, rec.bits as usize);
-                    }
-                    match rec.kind {
-                        SentKind::Delivered => {
-                            stats.messages_delivered += 1;
-                            stats.bits_received_by_node[rec.to as usize] += rec.bits;
-                            if let Some(em) = energy {
-                                let rx = em.rx_bit_cost * rec.bits;
-                                stats.energy_spent_by_node[rec.to as usize] += rx;
-                                round_energy += rx;
-                            }
-                            if let Some(m) = metrics.as_mut() {
-                                m.on_delivered();
-                            }
-                            slots.push(slot_of[rec.to as usize]);
-                        }
-                        SentKind::DeliveredDup => {
-                            stats.messages_delivered += 2;
-                            stats.dup_deliveries += 1;
-                            stats.bits_received_by_node[rec.to as usize] += 2 * rec.bits;
-                            if let Some(em) = energy {
-                                let rx = 2 * em.rx_bit_cost * rec.bits;
-                                stats.energy_spent_by_node[rec.to as usize] += rx;
-                                round_energy += rx;
-                            }
-                            if let Some(m) = metrics.as_mut() {
-                                m.on_delivered();
-                                m.on_dup_delivered();
-                            }
-                            slots.push(slot_of[rec.to as usize]);
-                            slots.push(slot_of[rec.to as usize]);
-                        }
-                        SentKind::Lost => {
-                            stats.messages_lost += 1;
-                            if let Some(m) = metrics.as_mut() {
-                                m.on_lost();
-                            }
-                        }
-                        SentKind::Dropped => {
-                            stats.injected_drops += 1;
-                            if let Some(m) = metrics.as_mut() {
-                                m.on_dropped();
-                            }
-                        }
-                    }
-                }
-                arena.append(&mut lane.arena);
-            }
-        } else {
-            for &v in awake_now.iter() {
-                let node = NodeId::new(v);
-                outbox.clear();
-                protocols[v as usize].send(&ctxs[v as usize], round, outbox);
-                for Envelope { port, msg } in outbox.drain() {
-                    let (to, recv_port, bits, edge) =
-                        route_envelope(graph, config, &mut stats, node, round, port, &msg)?;
-                    if let Some(em) = energy {
-                        // Transmit energy accrues at routing time: the
-                        // sender pays whether the message is delivered,
-                        // lost, or dropped in flight.
-                        let tx = em.tx_bit_cost * bits as u64;
-                        stats.energy_spent_by_node[v as usize] += tx;
-                        round_energy += tx;
+                        let rx = em.rx_bit_cost * bits as u64;
+                        stats.energy_spent_by_node[to as usize] += rx;
+                        round_energy += rx;
                     }
                     if let Some(rec) = metrics.as_mut() {
-                        rec.on_send(edge, bits);
+                        rec.on_delivered();
                     }
-                    if let Some(plan) = faults {
-                        // A dropped message is destroyed in flight after the
-                        // sender paid for it (bits accrued above), regardless
-                        // of the receiver's state — it is an injected fault,
-                        // not a model loss.
-                        if plan.drops(round, v, port.raw()) {
-                            stats.injected_drops += 1;
-                            if let Some(rec) = metrics.as_mut() {
-                                rec.on_dropped();
-                            }
-                            if config.record_trace {
-                                record_dropped(&mut trace_buf, round, v, to);
-                            }
-                            continue;
-                        }
+                    if config.record_trace {
+                        record_delivered(&mut trace_buf, round, v, to, recv_port, bits, &msg);
                     }
-                    let to_awake = awake_stamp[to as usize] == round;
-                    debug_assert_eq!(to_awake, driver.is_awake_in(to, round));
-                    if to_awake {
+                    slots.push(slot_of[to as usize]);
+                    // An injected duplication delivers a second identical
+                    // copy; it counts as a delivery of its own so the
+                    // conservation audit reconciles.
+                    let dup = match faults {
+                        Some(plan) => plan.duplicates(round, v, port.raw()),
+                        None => false,
+                    };
+                    if dup {
                         stats.messages_delivered += 1;
+                        stats.dup_deliveries += 1;
                         stats.bits_received_by_node[to as usize] += bits as u64;
                         if let Some(em) = energy {
                             let rx = em.rx_bit_cost * bits as u64;
@@ -1260,54 +958,22 @@ where
                             round_energy += rx;
                         }
                         if let Some(rec) = metrics.as_mut() {
-                            rec.on_delivered();
+                            rec.on_dup_delivered();
                         }
                         if config.record_trace {
                             record_delivered(&mut trace_buf, round, v, to, recv_port, bits, &msg);
                         }
                         slots.push(slot_of[to as usize]);
-                        // An injected duplication delivers a second identical
-                        // copy; it counts as a delivery of its own so the
-                        // conservation audit reconciles.
-                        let dup = match faults {
-                            Some(plan) => plan.duplicates(round, v, port.raw()),
-                            None => false,
-                        };
-                        if dup {
-                            stats.messages_delivered += 1;
-                            stats.dup_deliveries += 1;
-                            stats.bits_received_by_node[to as usize] += bits as u64;
-                            if let Some(em) = energy {
-                                let rx = em.rx_bit_cost * bits as u64;
-                                stats.energy_spent_by_node[to as usize] += rx;
-                                round_energy += rx;
-                            }
-                            if let Some(rec) = metrics.as_mut() {
-                                rec.on_dup_delivered();
-                            }
-                            if config.record_trace {
-                                record_delivered(
-                                    &mut trace_buf,
-                                    round,
-                                    v,
-                                    to,
-                                    recv_port,
-                                    bits,
-                                    &msg,
-                                );
-                            }
-                            slots.push(slot_of[to as usize]);
-                            arena.push(Envelope::new(Port::new(recv_port), msg.clone()));
-                        }
-                        arena.push(Envelope::new(Port::new(recv_port), msg));
-                    } else {
-                        stats.messages_lost += 1;
-                        if let Some(rec) = metrics.as_mut() {
-                            rec.on_lost();
-                        }
-                        if config.record_trace {
-                            record_lost(&mut trace_buf, round, v, to);
-                        }
+                        arena.push(Envelope::new(Port::new(recv_port), msg.clone()));
+                    }
+                    arena.push(Envelope::new(Port::new(recv_port), msg));
+                } else {
+                    stats.messages_lost += 1;
+                    if let Some(rec) = metrics.as_mut() {
+                        rec.on_lost();
+                    }
+                    if config.record_trace {
+                        record_lost(&mut trace_buf, round, v, to);
                     }
                 }
             }
@@ -1381,7 +1047,7 @@ where
             // Budget adjudication: by deliver time every charge of the
             // node's round (round, tx, rx, idle) has accrued, so the
             // verdict is final — and reached in serial node order under
-            // every driver and shard count.
+            // every driver.
             let exhausted = match energy {
                 Some(em) => em
                     .budget

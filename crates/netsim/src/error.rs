@@ -57,7 +57,7 @@ pub enum SimError {
     /// ([`EnergyModel::budget`](crate::EnergyModel::budget)) and was
     /// forced asleep permanently. Carries the *first* exhaustion of the
     /// run (earliest round, lowest node id within it) — adjudicated in
-    /// serial node order, so identical across drivers and shard counts.
+    /// serial node order, so identical across drivers.
     EnergyExhausted {
         /// The first node to exhaust its budget.
         node: NodeId,

@@ -13,7 +13,8 @@ use std::fmt;
 /// `bit_size` must be the number of bits a reasonable binary encoding of
 /// the value would occupy — the quantity the CONGEST limit constrains and
 /// the congestion experiments accumulate per edge. Payloads are `Send`
-/// because the sharded executor routes envelopes on worker threads.
+/// because protocols are (see [`Protocol`](crate::Protocol)): a run's
+/// buffered envelopes move with it between worker threads.
 pub trait Payload: Clone + fmt::Debug + Send {
     /// Size of this message's wire encoding, in bits.
     fn bit_size(&self) -> usize;

@@ -64,7 +64,8 @@ pub struct NodeCtx {
 /// iteration — but every node's view shares a single `Arc<[u64]>`, so
 /// building `n` contexts costs one allocation instead of `n` (the
 /// scale-campaign setup-cost fix), and contexts stay cheaply clonable and
-/// `Send + Sync` for the sharded send path.
+/// `Send + Sync`, so a run can be built on one thread and handed to
+/// another (sweep and serve workers execute runs on parallel threads).
 #[derive(Debug, Clone, Eq)]
 pub struct PortWeights {
     all: Arc<[u64]>,
@@ -258,9 +259,11 @@ impl<M> Outbox<M> {
 /// [`Protocol::init`] before round 1) schedules the node's next awake round
 /// or halts it.
 ///
-/// Protocols must be `Send`: the sharded executor may run the send
-/// half-step of disjoint node partitions on worker threads (a protocol
-/// value is still only ever touched by one thread at a time).
+/// Protocols must be `Send`, so a run's protocol values — and the
+/// outcome that holds them — can move between threads: sweep and serve
+/// workers execute runs on parallel threads. A protocol value is only
+/// ever touched by one thread at a time; the kernel runs every half-step
+/// serially, in node order.
 pub trait Protocol: Send {
     /// Message payload type.
     type Msg: Payload;

@@ -34,14 +34,6 @@ pub struct SimConfig {
     /// produce bit-identical outcomes; they differ only in wall-clock
     /// cost. Defaults to [`Executor::Calendar`].
     pub executor: Executor,
-    /// Worker shards for the send half-step. `1` (the default) runs
-    /// fully serial; `K > 1` lets the kernel partition wide rounds'
-    /// awake sets across `K` scoped worker threads. Outcomes — stats,
-    /// trace, metrics, final states, every fingerprint — are
-    /// bit-identical for every shard count (the cross-shard differential
-    /// proptests pin this); shards trade wall-clock for cores, nothing
-    /// else. `0` is treated as `1`.
-    pub shards: u32,
     /// Energy cost model ([`EnergyModel`]). `None` — or an inert model —
     /// leaves the executors on the exact no-energy path; an active model
     /// charges a per-node nano-joule ledger inside the kernel, and a
@@ -64,7 +56,6 @@ impl Default for SimConfig {
             master_seed: 0,
             faults: None,
             executor: Executor::default(),
-            shards: 1,
             energy: None,
             wake_policy: WakePolicy::Block,
         }
@@ -111,12 +102,6 @@ impl SimConfig {
     /// Returns the config with the given time driver.
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
-        self
-    }
-
-    /// Returns the config with the given send-half-step shard count.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
         self
     }
 

@@ -50,14 +50,14 @@ pub struct RunStats {
     /// number of in-flight messages buffered in any single round. Scaled
     /// by the envelope size this bounds the executor's transient memory.
     /// Deterministic (a function of the delivery schedule, identical
-    /// across drivers and shard counts).
+    /// across drivers).
     pub arena_peak_envelopes: u64,
     /// Nano-joules spent per node under the configured
     /// [`EnergyModel`](crate::EnergyModel), indexed by node. All zeros
     /// when no active model is configured. Satisfies the conservation
     /// identity `sum == awake_total·round_cost + bits_sent·tx_bit_cost +
     /// bits_received·rx_bit_cost + idle_listen_rounds·idle_cost`, and is
-    /// bit-identical across every driver and shard count.
+    /// bit-identical across every driver.
     pub energy_spent_by_node: Vec<u64>,
     /// Nodes that spent past their energy budget and were forced asleep
     /// permanently (the crash machinery). Nonzero only under a budgeted

@@ -25,7 +25,7 @@ use netsim::{
 
 /// SplitMix64 — the same tiny generator the protocols in `mst-core` use
 /// for their private coins. Deterministic from the seed alone.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct SplitMix64(u64);
 
 impl SplitMix64 {
@@ -44,7 +44,7 @@ impl SplitMix64 {
 /// and folds everything it receives into an order-sensitive digest. Any
 /// divergence in scheduling, routing, inbox ordering, or delivery/loss
 /// between the executors changes the digest or the stats.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Chaotic {
     rng: SplitMix64,
     wakes_left: u32,
@@ -342,29 +342,26 @@ proptest! {
 /// through [`SimConfig::with_executor`], the way every caller above the
 /// engine does it — and asserts bit-identical outcomes: stats, trace,
 /// metrics, and final protocol states.
-fn assert_all_drivers_agree(
+fn assert_all_drivers_agree<P, F>(
     graph: &graphlib::WeightedGraph,
     base: &SimConfig,
-    wakes: u32,
-    max_gap: u64,
-) -> Result<(), TestCaseError> {
-    let factory = |ctx: &NodeCtx| Chaotic::new(ctx, wakes, max_gap);
+    factory: F,
+) -> Result<(), TestCaseError>
+where
+    P: Protocol + PartialEq + std::fmt::Debug,
+    F: Fn(&NodeCtx) -> P,
+{
     let reference = Simulator::new(graph, base.clone().with_executor(Executor::Calendar))
-        .run(factory)
+        .run(&factory)
         .unwrap();
     for executor in [Executor::Sync, Executor::Naive] {
         let other = Simulator::new(graph, base.clone().with_executor(executor))
-            .run(factory)
+            .run(&factory)
             .unwrap();
         prop_assert_eq!(&reference.stats, &other.stats, "{} stats", executor);
         prop_assert_eq!(&reference.trace, &other.trace, "{} trace", executor);
         prop_assert_eq!(&reference.metrics, &other.metrics, "{} metrics", executor);
-        prop_assert_eq!(reference.states.len(), other.states.len());
-        for (a, b) in reference.states.iter().zip(&other.states) {
-            prop_assert_eq!(&a.received, &b.received);
-            prop_assert_eq!(a.digest, b.digest);
-            prop_assert_eq!(a.wakes_left, b.wakes_left);
-        }
+        prop_assert_eq!(&reference.states, &other.states, "{} states", executor);
     }
     Ok(())
 }
@@ -373,9 +370,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The full driver matrix on random graphs: metrics and tracing
-    /// toggled independently, an optional fault plan (drops, spurious
-    /// sleeps, wake jitter, crashes) layered on top. Driver choice must
-    /// be observationally invisible in every combination.
+    /// toggled independently, an optional fault plan (drops, duplicates,
+    /// spurious sleeps, wake jitter, crashes) layered on top. `wide`
+    /// swaps the sparse [`Chaotic`] workload for [`WideWave`] lockstep
+    /// rounds on a 160–240 node chorded cycle, where every node is awake
+    /// at once. Driver choice must be observationally invisible in every
+    /// combination.
     #[test]
     fn all_three_drivers_agree_on_random_graphs(
         n in 3usize..12,
@@ -383,17 +383,22 @@ proptest! {
         master_seed in 0u64..500,
         wakes in 1u32..5,
         max_gap in 1u64..30,
+        wide in any::<bool>(),
         metrics in any::<bool>(),
         trace in any::<bool>(),
         faults in proptest::option::of((
             0u64..1000,
-            0u32..600_000,
+            (0u32..600_000, 0u32..500_000),
             0u32..500_000,
             0u64..3,
-            proptest::collection::vec((0u32..16, 1u64..25), 0..3),
+            proptest::collection::vec((0u32..300, 1u64..25), 0..3),
         )),
     ) {
-        let g = generators::random_connected(n, 0.3, graph_seed).unwrap();
+        let g = if wide {
+            generators::chorded_cycle(130 + 10 * n, 2, graph_seed).unwrap()
+        } else {
+            generators::random_connected(n, 0.3, graph_seed).unwrap()
+        };
         let mut config = SimConfig::default().with_seed(master_seed);
         if metrics {
             config = config.with_metrics();
@@ -401,17 +406,27 @@ proptest! {
         if trace {
             config = config.with_trace();
         }
-        if let Some((fault_seed, drop_ppm, sleep_ppm, jitter, crashes)) = faults {
+        if let Some((fault_seed, (drop_ppm, dup_ppm), sleep_ppm, jitter, crashes)) = faults {
             let mut plan = FaultPlan::seeded(fault_seed)
                 .with_drop_ppm(drop_ppm)
+                .with_duplicate_ppm(dup_ppm)
                 .with_spurious_sleep_ppm(sleep_ppm)
                 .with_wake_jitter(jitter);
             for &(node, round) in &crashes {
-                plan = plan.with_crash(node % n as u32, round);
+                plan = plan.with_crash(node % g.node_count() as u32, round);
             }
             config = config.with_faults(plan);
         }
-        assert_all_drivers_agree(&g, &config, wakes, max_gap)?;
+        if wide {
+            assert_all_drivers_agree(&g, &config, |_: &NodeCtx| WideWave {
+                left: wakes + 1,
+                digest: 0,
+            })?;
+        } else {
+            assert_all_drivers_agree(&g, &config, |ctx: &NodeCtx| {
+                Chaotic::new(ctx, wakes, max_gap)
+            })?;
+        }
     }
 
     /// Same matrix on sparse wake schedules with *huge* gaps: most
@@ -433,7 +448,7 @@ proptest! {
         if metrics {
             config = config.with_metrics();
         }
-        assert_all_drivers_agree(&g, &config, wakes, max_gap)?;
+        assert_all_drivers_agree(&g, &config, |ctx: &NodeCtx| Chaotic::new(ctx, wakes, max_gap))?;
     }
 }
 
@@ -444,7 +459,7 @@ proptest! {
 fn all_three_drivers_agree_on_the_empty_graph() {
     let g = GraphBuilder::new(0).build().unwrap();
     let config = SimConfig::default().with_trace().with_metrics();
-    assert_all_drivers_agree(&g, &config, 3, 10).unwrap();
+    assert_all_drivers_agree(&g, &config, |ctx: &NodeCtx| Chaotic::new(ctx, 3, 10)).unwrap();
     let out = Simulator::new(&g, config.with_executor(Executor::Naive))
         .run(|ctx: &NodeCtx| Chaotic::new(ctx, 3, 10))
         .unwrap();
@@ -460,7 +475,7 @@ fn all_three_drivers_agree_on_the_empty_graph() {
 fn all_three_drivers_agree_on_a_single_node() {
     let g = GraphBuilder::new(1).build().unwrap();
     let config = SimConfig::default().with_trace().with_metrics();
-    assert_all_drivers_agree(&g, &config, 4, 7).unwrap();
+    assert_all_drivers_agree(&g, &config, |ctx: &NodeCtx| Chaotic::new(ctx, 4, 7)).unwrap();
 }
 
 /// Every node halts at init: the run has *no* active round at all. The
@@ -713,11 +728,10 @@ fn zero_budget_exhausts_in_the_first_awake_round_under_every_driver() {
 /// Edge case: every node overdraws in the same wide broadcast round —
 /// the whole network dies mid-broadcast at once. The adjudication runs
 /// in serial node order after the round's deliveries, so the reported
-/// node is node 0 under every driver *and every shard count* (exhaustion
-/// is adjudicated outside the sharded half-step).
+/// node is node 0 under every driver.
 #[test]
-fn whole_network_exhaustion_mid_broadcast_is_identical_across_drivers_and_shards() {
-    let n = 300usize; // past the wide-round gate so shards engage
+fn whole_network_exhaustion_mid_broadcast_is_identical_across_drivers() {
+    let n = 300usize;
     let g = generators::chorded_cycle(n, 2, 7).unwrap();
     // Two lockstep broadcast rounds fit the budget, the third overdraws
     // every node in the same round.
@@ -730,19 +744,16 @@ fn whole_network_exhaustion_mid_broadcast_is_identical_across_drivers_and_shards
     };
     let mut verdicts = Vec::new();
     for executor in [Executor::Calendar, Executor::Sync, Executor::Naive] {
-        for shards in [1u32, 2, 4] {
-            let config = SimConfig::default()
-                .with_energy(model)
-                .with_executor(executor)
-                .with_shards(shards);
-            let err = Simulator::new(&g, config).run(factory).unwrap_err();
-            let SimError::EnergyExhausted { node, round } = err else {
-                panic!("{executor}/shards={shards}: expected exhaustion, got {err}");
-            };
-            assert_eq!(round, 3, "{executor}/shards={shards}");
-            assert_eq!(node.raw(), 0, "{executor}/shards={shards}");
-            verdicts.push((node, round));
-        }
+        let config = SimConfig::default()
+            .with_energy(model)
+            .with_executor(executor);
+        let err = Simulator::new(&g, config).run(factory).unwrap_err();
+        let SimError::EnergyExhausted { node, round } = err else {
+            panic!("{executor}: expected exhaustion, got {err}");
+        };
+        assert_eq!(round, 3, "{executor}");
+        assert_eq!(node.raw(), 0, "{executor}");
+        verdicts.push((node, round));
     }
     assert!(verdicts.windows(2).all(|w| w[0] == w[1]));
 }
@@ -808,14 +819,13 @@ fn duty_cycle_rounds_are_on_cycle_under_every_driver() {
     }
 }
 
-/// A maximally wide workload for the shard matrix: every node wakes in
-/// lockstep every round, sends a weight-derived payload on every port,
-/// and folds its inbox into an order-sensitive digest. With hundreds of
-/// nodes awake per round this crosses the kernel's wide-round gate, so
-/// `--shards K` actually fans the send half-step out across threads —
-/// any divergence in partitioning, outbox merge order, fault
-/// adjudication, or inbox assembly shows up in the digest or the stats.
-#[derive(Debug)]
+/// A maximally wide workload: every node wakes in lockstep every round,
+/// sends a weight-derived payload on every port, and folds its inbox into
+/// an order-sensitive digest. Hundreds of nodes awake per round stress
+/// the send half-step, fault adjudication, and inbox assembly at the
+/// opposite extreme from the sparse [`Chaotic`] schedules — any
+/// divergence shows up in the digest or the stats.
+#[derive(Debug, PartialEq)]
 struct WideWave {
     left: u32,
     digest: u64,
@@ -846,96 +856,6 @@ impl Protocol for WideWave {
             NextWake::Halt
         } else {
             NextWake::At(round + 1)
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Sharding the send half-step must be observationally invisible on
-    /// the rounds it actually parallelizes: wide lockstep rounds on the
-    /// chorded-cycle family (every node awake at once, far past the
-    /// wide-round gate) yield the serial baseline's stats, metrics, and
-    /// states at every shard count — across fault plans (drops exercise
-    /// the per-shard verdict replay, duplicates the arena clone order)
-    /// and with metrics recording toggled both ways.
-    #[test]
-    fn shard_counts_agree_on_wide_rounds(
-        n in 150usize..280,
-        master_seed in 0u64..500,
-        rounds in 2u32..6,
-        metrics in any::<bool>(),
-        faults in proptest::option::of((0u64..1000, 0u32..400_000, 0u32..400_000)),
-    ) {
-        let g = generators::chorded_cycle(n, 2, 7).unwrap();
-        let mut config = SimConfig::default().with_seed(master_seed);
-        if metrics {
-            config = config.with_metrics();
-        }
-        if let Some((fault_seed, drop_ppm, dup_ppm)) = faults {
-            config = config.with_faults(
-                FaultPlan::seeded(fault_seed)
-                    .with_drop_ppm(drop_ppm)
-                    .with_duplicate_ppm(dup_ppm),
-            );
-        }
-        let factory = |_: &NodeCtx| WideWave { left: rounds, digest: 0 };
-        let serial = Simulator::new(&g, config.clone().with_shards(1))
-            .run(factory)
-            .unwrap();
-        prop_assert!(serial.stats.messages_delivered > 0);
-        for shards in [2u32, 7] {
-            let sharded = Simulator::new(&g, config.clone().with_shards(shards))
-                .run(factory)
-                .unwrap();
-            prop_assert_eq!(&serial.stats, &sharded.stats, "shards={}", shards);
-            prop_assert_eq!(&serial.metrics, &sharded.metrics, "shards={}", shards);
-            for (a, b) in serial.states.iter().zip(&sharded.states) {
-                prop_assert_eq!(a.digest, b.digest, "shards={}", shards);
-                prop_assert_eq!(a.left, b.left, "shards={}", shards);
-            }
-        }
-    }
-
-    /// Below the wide-round gate (small graphs, sparse chaotic wakes) a
-    /// shard request falls back to the serial path round by round; the
-    /// knob must still be invisible there — including with tracing on,
-    /// which pins every round serial regardless of the shard count.
-    #[test]
-    fn shard_counts_agree_on_narrow_runs(
-        n in 3usize..12,
-        graph_seed in 0u64..300,
-        master_seed in 0u64..300,
-        wakes in 1u32..5,
-        max_gap in 1u64..20,
-        metrics in any::<bool>(),
-        trace in any::<bool>(),
-    ) {
-        let g = generators::random_connected(n, 0.3, graph_seed).unwrap();
-        let mut config = SimConfig::default().with_seed(master_seed);
-        if metrics {
-            config = config.with_metrics();
-        }
-        if trace {
-            config = config.with_trace();
-        }
-        let factory = |ctx: &NodeCtx| Chaotic::new(ctx, wakes, max_gap);
-        let serial = Simulator::new(&g, config.clone().with_shards(1))
-            .run(factory)
-            .unwrap();
-        for shards in [2u32, 7] {
-            let sharded = Simulator::new(&g, config.clone().with_shards(shards))
-                .run(factory)
-                .unwrap();
-            prop_assert_eq!(&serial.stats, &sharded.stats, "shards={}", shards);
-            prop_assert_eq!(&serial.trace, &sharded.trace, "shards={}", shards);
-            prop_assert_eq!(&serial.metrics, &sharded.metrics, "shards={}", shards);
-            for (a, b) in serial.states.iter().zip(&sharded.states) {
-                prop_assert_eq!(&a.received, &b.received, "shards={}", shards);
-                prop_assert_eq!(a.digest, b.digest, "shards={}", shards);
-                prop_assert_eq!(a.wakes_left, b.wakes_left, "shards={}", shards);
-            }
         }
     }
 }

@@ -63,11 +63,10 @@ pub fn run(alg: &AlgorithmSpec, graph: &WeightedGraph, seed: u64) -> Result<MstO
 /// The optional execution knobs of the `run` subcommand, bundled so the
 /// entry point stays one call: time-driver override (`None` defers to
 /// the registry default, the calendar driver; every driver is
-/// bit-identical), shard count, energy model, and wake policy.
+/// bit-identical), energy model, and wake policy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunTuning {
     pub executor: Option<Executor>,
-    pub shards: Option<u32>,
     pub energy: Option<EnergyModel>,
     pub wake_policy: WakePolicy,
 }
@@ -95,9 +94,6 @@ pub fn run_with_faults(
         .with_wake_policy(tuning.wake_policy);
     if let Some(executor) = tuning.executor {
         opts = opts.with_executor(executor);
-    }
-    if let Some(shards) = tuning.shards {
-        opts = opts.with_shards(shards);
     }
     if let Some(model) = tuning.energy {
         opts = opts.with_energy(model);
@@ -375,10 +371,6 @@ pub enum Command {
         /// calendar driver). Every driver is bit-identical; the flag
         /// exists for differential checking and throughput comparison.
         executor: Option<Executor>,
-        /// Send-half-step shard count (`None` = serial). Bit-identical
-        /// for every value — `--shards 1` is the byte-equivalence
-        /// baseline for any `--shards K` run.
-        shards: Option<u32>,
         /// Energy pricing model (`None` = no charging). A `--budget`
         /// without `--energy-model` implies the reference model, like
         /// the serve protocol's bare `"budget"` field.
@@ -436,9 +428,6 @@ pub enum Command {
         bench_out: Option<String>,
         /// Time driver for every trial (`None` = registry default).
         executor: Option<Executor>,
-        /// Send-half-step shard count per trial (`None` = serial;
-        /// bit-identical for every value).
-        shards: Option<u32>,
         /// Energy pricing model applied to every trial (`None` = no
         /// charging).
         energy: Option<EnergyModel>,
@@ -485,9 +474,6 @@ pub enum Command {
         /// Time driver every trial runs under (matrix bytes must not
         /// depend on it).
         executor: Executor,
-        /// Send-half-step shard count per trial (matrix bytes must not
-        /// depend on it either — the CI energy leg `cmp`s legs).
-        shards: Option<u32>,
         /// Energy pricing model charged on every trial; stamped into the
         /// matrix header and the per-cell `energy_total` column.
         energy: Option<EnergyModel>,
@@ -505,12 +491,8 @@ pub enum Command {
         /// ask for it at small sizes).
         executors: Vec<Executor>,
         /// Node counts for the wide-wave workload rows (every node awake
-        /// every round — the regime sharding accelerates). Empty skips
-        /// the wave panel.
+        /// every round). Empty skips the wave panel.
         wave_sizes: Vec<usize>,
-        /// Shard counts swept on the wave rows (the panel asserts the
-        /// run stats agree across all of them).
-        shards: Vec<u32>,
         /// Also write the JSON rows to this file.
         out: Option<String>,
     },
@@ -586,7 +568,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut naive = false;
     let mut executor: Option<Executor> = None;
     let mut executors: Option<Vec<Executor>> = None;
-    let mut shards: Option<Vec<u32>> = None;
     let mut wave_sizes: Option<Vec<usize>> = None;
     let mut faults = FaultPlan::default();
     let mut energy: Option<EnergyModel> = None;
@@ -653,20 +634,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     v.split(',')
                         .map(|x| parse_executor(x.trim()))
                         .collect::<Result<Vec<Executor>, String>>()?,
-                );
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                shards = Some(
-                    v.split(',')
-                        .map(|x| {
-                            x.trim()
-                                .parse::<u32>()
-                                .ok()
-                                .filter(|&s| s >= 1)
-                                .ok_or_else(|| format!("'{x}' is not a shard count (>= 1)"))
-                        })
-                        .collect::<Result<Vec<u32>, String>>()?,
                 );
             }
             "--wave-sizes" => {
@@ -763,15 +730,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         Some(b) => Some(energy.unwrap_or_else(EnergyModel::reference).with_budget(b)),
         None => energy,
     };
-    let single_shards = |shards: &Option<Vec<u32>>| -> Result<Option<u32>, String> {
-        match shards.as_deref() {
-            None => Ok(None),
-            Some([one]) => Ok(Some(*one)),
-            Some(_) => Err(
-                "this command takes a single --shards value (lists are for bench-engine)".into(),
-            ),
-        }
-    };
     if cmd == "report" {
         return Ok(Command::Report {
             sizes: sizes.unwrap_or_else(|| vec![8, 12, 16, 24]),
@@ -795,7 +753,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             json,
             out,
             executor: executor.unwrap_or_default(),
-            shards: single_shards(&shards)?,
             energy,
         });
     }
@@ -807,7 +764,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 executor.map_or_else(|| vec![Executor::Calendar, Executor::Sync], |e| vec![e])
             }),
             wave_sizes: wave_sizes.unwrap_or_default(),
-            shards: shards.unwrap_or_else(|| vec![1]),
             out,
         });
     }
@@ -836,7 +792,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             json,
             faults,
             executor,
-            shards: single_shards(&shards)?,
             energy,
             wake_policy,
         }),
@@ -866,7 +821,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 json,
                 bench_out,
                 executor,
-                shards: single_shards(&shards)?,
                 energy,
             })
         }
@@ -889,7 +843,7 @@ sleeping-mst — distributed MST in the sleeping model (PODC 2022 reproduction)
 
 USAGE:
     sleeping-mst run    --alg <ALG> --graph <SPEC> [--seed S] [--json]
-                        [--executor sync|calendar|naive] [--shards K]
+                        [--executor sync|calendar|naive]
                         [--energy-model M] [--budget B] [--wake-policy P]
                         [--fault-seed S] [--drop-ppm P] [--dup-ppm P]
                         [--sleep-ppm P] [--jitter J] [--crash NODE@ROUND]…
@@ -899,17 +853,17 @@ USAGE:
     sleeping-mst sweep  --alg <ALG[,ALG…]> --graph <TEMPLATE with {{n}}>
                         --sizes <N,N,…> [--seeds A..B|A,B,…] [--threads T] [--json]
                         [--bench-out FILE] [--executor sync|calendar|naive]
-                        [--shards K] [--energy-model M] [--budget B]
+                        [--energy-model M] [--budget B]
     sleeping-mst report [--sizes N,N,…] [--seeds A..B|A,B,…] [--naive]
                         [--executor sync|calendar|naive]
                         [--energy-model M] [--budget B]
                         [--json] [--out FILE] [--md-out FILE]
     sleeping-mst chaos  [--seed S] [--sizes N,N,…] [--trials K] [--json]
                         [--out FILE] [--executor sync|calendar|naive]
-                        [--shards K] [--energy-model M] [--budget B]
+                        [--energy-model M] [--budget B]
     sleeping-mst bench-engine [--sizes N,N,…] [--seed S] [--out FILE]
                         [--executors calendar,sync[,naive]]
-                        [--wave-sizes N,N,…] [--shards K,K,…]
+                        [--wave-sizes N,N,…]
     sleeping-mst serve  --socket PATH [--workers W] [--cache-capacity C]
                         [--bucket-capacity B] [--refill-per-sec R]
 
@@ -973,7 +927,7 @@ ENERGY (run, sweep, report, chaos; serve takes it per request):
     `reference` (round:1000,tx:8,rx:4,idle:50), `radio` (1 unit per awake
     round), or a comma list like round:R,tx:T,rx:X,idle:I[,budget:B].
     Charging happens inside the one execution kernel, so per-node ledgers
-    are bit-identical across executors and shard counts. --budget B caps
+    are bit-identical across executors. --budget B caps
     every node at B units (implying the reference model if no
     --energy-model is given); a node that overspends is forced asleep
     permanently and the run fails with the typed error
@@ -991,24 +945,18 @@ EXECUTORS:
     are bit-identical on every run — fingerprints, stats, traces, and
     metrics — so --executor only changes wall-clock cost (that is what
     `bench-engine` measures) and any divergence is a simulator bug.
-
-SHARDS:
-    --shards K splits the per-round send half-step across K worker
-    threads (wide rounds only; narrow rounds stay serial). Shard counts
-    are bit-identical by construction: every stat, trace, metric, and
-    fingerprint matches --shards 1 exactly, so any K can be diffed
-    byte-for-byte against the serial baseline. `run --json` reports a
-    \"memory\" block (graph_bytes, arena_peak_envelopes, peak_rss_bytes);
-    peak_rss_bytes is a whole-process high-water mark and is the one
-    field to neutralize when diffing outputs.
+    `run --json` reports a \"memory\" block (graph_bytes,
+    arena_peak_envelopes, peak_rss_bytes); peak_rss_bytes is a
+    whole-process high-water mark and is the one field to neutralize
+    when diffing outputs.
 
 SERVE:
     Runs the sweep-as-a-service daemon: newline-delimited JSON requests
     (run, sweep, report, chaos, stats, shutdown) over a Unix socket, one
     response line per request. Workers keep warm executor scratches;
     identical requests coalesce onto one execution; results land in a
-    deterministic LRU keyed by the canonical request (executor and shard
-    knobs erased — all drivers are bit-identical); a token bucket sheds
+    deterministic LRU keyed by the canonical request (the executor knob
+    erased — all drivers are bit-identical); a token bucket sheds
     over-budget requests with the typed error `serve.over-capacity`
     instead of queueing them. Blocks until a `shutdown` request, drains
     every admitted job, then prints the front-door counters. Drive it
@@ -1085,7 +1033,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             json,
             faults,
             executor,
-            shards,
             energy,
             wake_policy,
         } => match build_graph(graph, *seed) {
@@ -1097,7 +1044,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                 faults,
                 RunTuning {
                     executor: *executor,
-                    shards: *shards,
                     energy: *energy,
                     wake_policy: *wake_policy,
                 },
@@ -1177,7 +1123,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             json,
             out,
             executor,
-            shards,
             energy,
         } => {
             let spec = chaos::ChaosSpec {
@@ -1185,7 +1130,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                 sizes: sizes.clone(),
                 trials: *trials,
                 executor: *executor,
-                shards: *shards,
                 energy: *energy,
             };
             let report = chaos::run_chaos(&spec);
@@ -1274,7 +1218,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             json,
             bench_out,
             executor,
-            shards,
             energy,
         } => {
             let family =
@@ -1285,9 +1228,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                 .threads(*threads);
             if let Some(executor) = executor {
                 sweep = sweep.executor(*executor);
-            }
-            if let Some(shards) = shards {
-                sweep = sweep.shards(*shards);
             }
             if let Some(model) = energy {
                 sweep = sweep.energy(*model);
@@ -1321,7 +1261,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             seed,
             executors,
             wave_sizes,
-            shards,
             out,
         } => {
             let spec = engine_panel::EnginePanelSpec {
@@ -1329,7 +1268,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                 executors: executors.clone(),
                 seed: *seed,
                 wave_sizes: wave_sizes.clone(),
-                shards: shards.clone(),
                 ..engine_panel::EnginePanelSpec::default()
             };
             match engine_panel::run_engine_panel(&spec) {
@@ -1394,7 +1332,6 @@ mod tests {
                 json: true,
                 faults: FaultPlan::default(),
                 executor: None,
-                shards: None,
                 energy: None,
                 wake_policy: WakePolicy::Block,
             }
@@ -1500,81 +1437,16 @@ mod tests {
             unreachable!("expected sweep command");
         };
         assert_eq!(energy, Some(EnergyModel::radio_default()));
-        let cmd = parse_args(&args(&["chaos", "--budget", "7", "--shards", "2"])).unwrap();
-        let Command::Chaos { energy, shards, .. } = cmd else {
+        let cmd = parse_args(&args(&["chaos", "--budget", "7"])).unwrap();
+        let Command::Chaos { energy, .. } = cmd else {
             unreachable!("expected chaos command");
         };
         assert_eq!(energy, Some(EnergyModel::reference().with_budget(7)));
-        assert_eq!(shards, Some(2));
         let cmd = parse_args(&args(&["report", "--energy-model", "radio"])).unwrap();
         let Command::Report { energy, .. } = cmd else {
             unreachable!("expected report command");
         };
         assert_eq!(energy, Some(EnergyModel::radio_default()));
-    }
-
-    #[test]
-    fn parses_shards_flags() {
-        let cmd = parse_args(&args(&[
-            "run",
-            "--alg",
-            "randomized",
-            "--graph",
-            "scale:64:2",
-            "--shards",
-            "4",
-        ]))
-        .unwrap();
-        let Command::Run { shards, .. } = cmd else {
-            unreachable!("expected run command");
-        };
-        assert_eq!(shards, Some(4));
-
-        let cmd = parse_args(&args(&[
-            "sweep",
-            "--alg",
-            "randomized",
-            "--graph",
-            "ring:{n}",
-            "--sizes",
-            "8",
-            "--shards",
-            "2",
-        ]))
-        .unwrap();
-        let Command::Sweep { shards, .. } = cmd else {
-            unreachable!("expected sweep command");
-        };
-        assert_eq!(shards, Some(2));
-
-        // run/sweep take exactly one value; bench-engine takes a list.
-        assert!(parse_args(&args(&[
-            "run", "--alg", "prim", "--graph", "ring:8", "--shards", "1,2"
-        ]))
-        .unwrap_err()
-        .contains("single --shards"));
-        assert!(parse_args(&args(&[
-            "run", "--alg", "prim", "--graph", "ring:8", "--shards", "0"
-        ]))
-        .unwrap_err()
-        .contains("shard count"));
-
-        let cmd = parse_args(&args(&[
-            "bench-engine",
-            "--wave-sizes",
-            "256,512",
-            "--shards",
-            "1,2,4",
-        ]))
-        .unwrap();
-        let Command::BenchEngine {
-            wave_sizes, shards, ..
-        } = cmd
-        else {
-            unreachable!("expected bench-engine command");
-        };
-        assert_eq!(wave_sizes, vec![256, 512]);
-        assert_eq!(shards, vec![1, 2, 4]);
     }
 
     #[test]
@@ -1625,7 +1497,6 @@ mod tests {
                 seed: 0,
                 executors: vec![Executor::Calendar, Executor::Sync],
                 wave_sizes: vec![],
-                shards: vec![1],
                 out: None,
             }
         );
@@ -1646,7 +1517,6 @@ mod tests {
                 seed: 3,
                 executors: vec![Executor::Calendar, Executor::Sync, Executor::Naive],
                 wave_sizes: vec![],
-                shards: vec![1],
                 out: None,
             }
         );
@@ -1682,7 +1552,6 @@ mod tests {
                 json: false,
                 bench_out: None,
                 executor: None,
-                shards: None,
                 energy: None,
             }
         );
@@ -1892,7 +1761,6 @@ mod tests {
                 json: false,
                 out: Some(path_str.clone()),
                 executor: Executor::Calendar,
-                shards: None,
                 energy: None,
             }
         );
@@ -2023,7 +1891,6 @@ mod tests {
             json: false,
             bench_out: None,
             executor: None,
-            shards: None,
             energy: None,
         };
         let (code, text) = execute(&cmd);
@@ -2039,7 +1906,6 @@ mod tests {
             json: true,
             bench_out: None,
             executor: None,
-            shards: None,
             energy: None,
         };
         let (code, text) = execute(&cmd_json);
@@ -2135,38 +2001,11 @@ mod tests {
         let calendar = render("calendar");
         assert_eq!(calendar, render("sync"));
         assert_eq!(calendar, render("naive"));
-    }
-
-    #[test]
-    fn run_json_is_bit_identical_across_shard_counts() {
-        // The chorded cycle at n = 512 keeps every node in lockstep, so
-        // wide rounds actually cross the sharding gate; the JSON (minus
-        // the process-RSS field) must match the serial baseline exactly.
-        let render = |shards: &str| {
-            let (code, text) = execute(
-                &parse_args(&args(&[
-                    "run",
-                    "--alg",
-                    "randomized",
-                    "--graph",
-                    "scale:512:2",
-                    "--seed",
-                    "4",
-                    "--shards",
-                    shards,
-                    "--json",
-                ]))
-                .unwrap(),
-            );
-            assert_eq!(code, 0, "shards={shards}: {text}");
-            text
-        };
-        let serial = scrub_rss(&render("1"));
-        assert_eq!(serial, scrub_rss(&render("2")));
-        assert_eq!(serial, scrub_rss(&render("4")));
-        assert!(serial.contains("\"memory\":{\"graph_bytes\":"), "{serial}");
-        assert!(serial.contains("\"arena_peak_envelopes\":"), "{serial}");
-        assert!(serial.contains("\"peak_rss_bytes\":0"), "{serial}");
+        assert!(
+            calendar.contains("\"memory\":{\"graph_bytes\":"),
+            "{calendar}"
+        );
+        assert!(calendar.contains("\"peak_rss_bytes\":0"), "{calendar}");
     }
 
     #[test]

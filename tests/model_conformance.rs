@@ -183,7 +183,7 @@ fn crashed_stale_wake_does_not_inflate_rounds_past_the_metrics_stream() {
 ///   `(node, round)` pair is pinned.
 ///
 /// Charging happens inside the one kernel, so these fingerprints are
-/// also what every other driver and shard count must produce (the
+/// also what every other driver must produce (the
 /// differential suites prove that identity; this test pins the values).
 #[test]
 fn energy_fingerprints_are_pinned() {

@@ -196,7 +196,6 @@ fn canonical((a, g, seed, faulty, _): (usize, usize, u64, bool, usize)) -> Canon
         graph: GRAPHS[g].into(),
         seed,
         executor: None,
-        shards: None,
         faults: if faulty {
             FaultPlan::seeded(1).with_drop_ppm(5000)
         } else {
@@ -410,6 +409,34 @@ fn malformed_requests_are_rejected_with_typed_errors() {
 
     let s = stats(&mut client);
     assert_eq!((s.received, s.rejected), (0, 5));
+
+    server.begin_shutdown();
+    server.join().unwrap();
+}
+
+/// A line of 200 000 `[` used to overflow the connection thread's stack
+/// in the recursive JSON parser and abort the whole daemon. It must get
+/// a typed `request.parse` reply, and the same connection must go on to
+/// serve a valid run.
+#[test]
+fn deeply_nested_line_gets_a_typed_reply_and_the_daemon_stays_up() {
+    let server = Server::start(ServeConfig::new(test_socket("nesting"))).unwrap();
+    let mut client = Client::connect(&server);
+
+    let resp = client.request(&"[".repeat(200_000));
+    assert!(!resp.ok, "{resp:?}");
+    assert_eq!(&resp.source, "reject", "{resp:?}");
+    assert!(
+        resp.fragment
+            .contains(&format!("\"code\":\"{}\"", codes::PARSE)),
+        "{resp:?}"
+    );
+
+    let run = client.request("{\"id\":2,\"cmd\":\"run\",\"alg\":\"prim\",\"graph\":\"ring:8\"}");
+    assert!(run.ok && run.id == 2, "{run:?}");
+
+    let s = stats(&mut client);
+    assert_eq!((s.received, s.rejected), (1, 1));
 
     server.begin_shutdown();
     server.join().unwrap();
