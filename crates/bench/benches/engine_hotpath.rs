@@ -90,8 +90,9 @@ fn bench_sync_vs_calendar_drivers(c: &mut Criterion) {
     /// Mirror of the `bench-engine` panel workload (see
     /// `bench::engine_panel`): every node wakes a handful of times with
     /// huge gaps between wakes, so wall-clock is dominated by how the
-    /// driver crosses silent rounds — one heap pop for the calendar
-    /// driver, one tick per round for the synchronous driver.
+    /// driver crosses silent rounds — one pop of the pending-round heap
+    /// for the calendar driver, one tick per round for the synchronous
+    /// driver.
     #[derive(Debug)]
     struct Sparse {
         state: u64,

@@ -10,8 +10,11 @@
 //! up to `gap_per_node · n` rounds between wakes, and sends a single
 //! cheap message per wake. Total rounds then exceed total wake events by
 //! a factor of ~`gap_per_node`, which is exactly where the calendar
-//! driver's heap-jump (`O(log n)` per *wake*) beats the synchronous
-//! driver's tick loop (`O(1)` per *round*).
+//! driver's jump to the next pending round (`O(log P)` per populated
+//! round, for `P` pending rounds) beats the synchronous driver's tick
+//! loop (`O(1)` per *round*). Wakes here almost never share a round, so
+//! this panel is also the wake queue's worst case: every wake pays a
+//! round-table insert and delete on top of the heap operation.
 //!
 //! The naive `O(n)`-scan oracle driver costs `O(rounds · n)` here, which
 //! is astronomical at panel sizes — include [`netsim::Executor::Naive`]

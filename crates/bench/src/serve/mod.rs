@@ -33,7 +33,7 @@ pub mod cache;
 pub mod protocol;
 pub(crate) mod worker;
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,6 +50,12 @@ use self::protocol::{render_error_body, render_response, Request, Source};
 use self::worker::{Dispatch, Job, JobKind};
 
 pub use self::worker::Counters;
+
+/// Longest request line the daemon buffers, in bytes (terminator
+/// excluded). A longer line gets one typed `request.parse` reject and is
+/// discarded up to its newline, so a newline-free stream cannot make a
+/// connection buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -254,16 +260,99 @@ fn handle_conn(inner: Arc<ServerInner>, stream: UnixStream) {
                 .and_then(|()| out.flush());
         }
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        match read_bounded_line(&mut reader, &mut buf) {
+            Ok(LineRead::Line) => {
+                // Invalid UTF-8 closes the connection, as it always has.
+                let Ok(line) = std::str::from_utf8(&buf) else {
+                    break;
+                };
+                if !line.trim().is_empty() {
+                    respond(&inner, line.trim(), &tx);
+                }
+            }
+            Ok(LineRead::TooLong) => reject(
+                &inner,
+                &tx,
+                0,
+                protocol::codes::PARSE,
+                &format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            ),
+            Ok(LineRead::End) | Err(_) => break,
         }
-        respond(&inner, line.trim(), &tx);
     }
     drop(tx);
     let _ = writer.join();
+}
+
+/// What [`read_bounded_line`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum LineRead {
+    /// A line of at most [`MAX_LINE_BYTES`] bytes is in the buffer.
+    Line,
+    /// The line was longer; it has been consumed and discarded.
+    TooLong,
+    /// End of stream with nothing read.
+    End,
+}
+
+/// Reads one newline-terminated line into `buf` (terminator stripped),
+/// never holding more than [`MAX_LINE_BYTES`] bytes of it: past the cap
+/// the rest of the line is consumed and dropped. A final line without a
+/// newline still counts, like [`BufRead::lines`].
+fn read_bounded_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<LineRead> {
+    buf.clear();
+    let mut too_long = false;
+    let mut read_any = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(match (read_any, too_long) {
+                (false, _) => LineRead::End,
+                (true, false) => LineRead::Line,
+                (true, true) => LineRead::TooLong,
+            });
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if !too_long {
+            if buf.len() + take > MAX_LINE_BYTES {
+                too_long = true;
+                buf.clear();
+            } else {
+                buf.extend_from_slice(&chunk[..take]);
+            }
+        }
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            return Ok(if too_long {
+                LineRead::TooLong
+            } else {
+                LineRead::Line
+            });
+        }
+    }
+}
+
+/// Answers a request that never reached the front door with one typed
+/// reject reply, counted as `rejected`.
+fn reject(inner: &ServerInner, tx: &Sender<String>, id: u64, code: &str, message: &str) {
+    inner
+        .dispatch
+        .state
+        .lock()
+        .expect("dispatch lock")
+        .counters
+        .rejected += 1;
+    let body = render_error_body(code, message);
+    let _ = tx.send(render_response(id, Source::Reject, false, &body));
 }
 
 /// Handles one request line: immediate response for control-plane,
@@ -272,15 +361,7 @@ fn handle_conn(inner: Arc<ServerInner>, stream: UnixStream) {
 fn respond(inner: &ServerInner, line: &str, tx: &Sender<String>) {
     let envelope = match protocol::parse_request(line) {
         Err(err) => {
-            inner
-                .dispatch
-                .state
-                .lock()
-                .expect("dispatch lock")
-                .counters
-                .rejected += 1;
-            let body = render_error_body(err.code, &err.message);
-            let _ = tx.send(render_response(err.id, Source::Reject, false, &body));
+            reject(inner, tx, err.id, err.code, &err.message);
             return;
         }
         Ok(envelope) => envelope,
@@ -341,5 +422,31 @@ fn respond(inner: &ServerInner, line: &str, tx: &Sender<String>) {
                 let _ = tx.send(line);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bounded_lines_cap_and_resynchronize_at_the_next_newline() {
+        let mut input = b"first\n".to_vec();
+        input.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES + 1));
+        input.extend_from_slice(b"\n");
+        input.extend(std::iter::repeat_n(b'y', MAX_LINE_BYTES));
+        input.extend_from_slice(b"\nlast");
+        // A small buffer makes every line span many `fill_buf` chunks.
+        let mut reader = BufReader::with_capacity(4096, input.as_slice());
+        let mut buf = Vec::new();
+        let mut next = || {
+            let read = read_bounded_line(&mut reader, &mut buf).expect("in-memory read");
+            (read, buf.len(), buf.first().copied())
+        };
+        assert_eq!(next(), (LineRead::Line, 5, Some(b'f')));
+        assert_eq!(next(), (LineRead::TooLong, 0, None));
+        assert_eq!(next(), (LineRead::Line, MAX_LINE_BYTES, Some(b'y')));
+        assert_eq!(next(), (LineRead::Line, 4, Some(b'l')));
+        assert_eq!(next(), (LineRead::End, 0, None));
     }
 }

@@ -8,13 +8,15 @@
 //! `TimeDriver`, selected by [`SimConfig::executor`]:
 //!
 //! * [`Executor::Calendar`] (the default) — keeps the scheduled wakes in
-//!   a `WakeQueue` (a binary-heap calendar of `(next-wake, node)`
-//!   events) and jumps time directly between populated rounds, so a run
-//!   costs `O(W log n + M)` for `W` node-awake events and `M` messages,
-//!   independent of how many silent rounds the schedule spans. This is
-//!   the property the sleeping model exists to exploit: nodes are awake
-//!   only `O(log n)` of the `O(n log n)` rounds, and the calendar never
-//!   visits the empty ones.
+//!   a `WakeQueue` (one intrusive node list per pending round, the
+//!   distinct rounds ordered by a small heap) and jumps time directly
+//!   between populated rounds, so a run costs `O(W + R log P + M)` for
+//!   `W` node-awake events (plus the sort of each round's awake set), `R`
+//!   populated rounds, `P` pending rounds and `M` messages, independent
+//!   of how many silent rounds the schedule spans. This is the property
+//!   the sleeping model exists to exploit: nodes are awake only
+//!   `O(log n)` of the `O(n log n)` rounds, and the calendar never visits
+//!   the empty ones.
 //! * [`Executor::Sync`] — round-synchronous: the clock walks through
 //!   every round one at a time, paying a per-round tick even when every
 //!   node sleeps. Outcomes are bit-identical to the calendar driver; it
@@ -63,9 +65,9 @@ pub enum Executor {
     /// paying a per-round tick even when every node sleeps. The cost
     /// model of a traditional round-driven simulator.
     Sync,
-    /// Event-driven calendar (the default): a binary heap of
-    /// `(next-wake, node)` events; time jumps directly between populated
-    /// rounds.
+    /// Event-driven calendar (the default): one list of waking nodes per
+    /// pending round, with the distinct rounds in a min-heap; time jumps
+    /// directly between populated rounds.
     #[default]
     Calendar,
     /// Per-round `O(n)` scan of every node's next wake — the
@@ -250,32 +252,200 @@ fn route_envelope<M: Payload>(
     ))
 }
 
-/// The scheduled-wake priority queue with lazy deletion.
+/// List terminator of the [`WakeQueue`]'s intrusive node lists.
+const NIL: u32 = u32::MAX;
+
+/// A small open-addressed map from a pending round to the head of its
+/// node list: linear probing over a power-of-two slot array, with
+/// backward-shift deletion so no tombstones accumulate. Round 0 marks an
+/// empty slot — scheduled rounds start at 1 (the kernel rejects a wake in
+/// round 0 as [`SimError::WakeNotInFuture`]).
+#[derive(Debug)]
+struct RoundTable {
+    /// `(round, list head)`; `round == 0` = empty slot.
+    slots: Vec<(Round, u32)>,
+    /// Occupied slots.
+    len: usize,
+    /// `64 - log2(slots.len())`: the Fibonacci hash keeps the top bits.
+    shift: u32,
+}
+
+impl RoundTable {
+    const MIN_SLOTS: usize = 16;
+
+    fn new() -> Self {
+        RoundTable {
+            slots: vec![(0, NIL); Self::MIN_SLOTS],
+            len: 0,
+            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+        }
+    }
+
+    /// Empties the table, keeping its capacity. A run that completed
+    /// popped every round, so the common case skips the fill.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.slots.fill((0, NIL));
+            self.len = 0;
+        }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// The slot `round` probes first.
+    #[inline]
+    fn home(&self, round: Round) -> usize {
+        (round.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The slot holding `round` (`true`), or else the empty slot that
+    /// ends its probe run (`false`).
+    #[inline]
+    fn probe(&self, round: Round) -> (usize, bool) {
+        let mask = self.mask();
+        let mut i = self.home(round);
+        loop {
+            match self.slots[i].0 {
+                0 => return (i, false),
+                r if r == round => return (i, true),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot holding `round`, if present.
+    #[inline]
+    fn find(&self, round: Round) -> Option<usize> {
+        let (i, found) = self.probe(round);
+        found.then_some(i)
+    }
+
+    /// The list head of `round`, if the round is present.
+    #[inline]
+    fn head_mut(&mut self, round: Round) -> Option<&mut u32> {
+        let i = self.find(round)?;
+        Some(&mut self.slots[i].1)
+    }
+
+    /// The list head of `round`, inserting an empty list if absent. The
+    /// flag is `true` when the round was newly inserted.
+    fn head_or_insert(&mut self, round: Round) -> (&mut u32, bool) {
+        // Keep the load factor at or below 1/2 so probe runs stay short.
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let (i, found) = self.probe(round);
+        if !found {
+            self.slots[i] = (round, NIL);
+            self.len += 1;
+        }
+        (&mut self.slots[i].1, !found)
+    }
+
+    /// Doubles the slot array and re-inserts every entry.
+    fn grow(&mut self) {
+        let doubled = vec![(0, NIL); 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        for (round, head) in old.into_iter().filter(|&(round, _)| round != 0) {
+            let (i, _) = self.probe(round);
+            self.slots[i] = (round, head);
+        }
+    }
+
+    /// Removes `round` and returns its list head, if it was present.
+    /// Backward-shift deletion: every later entry of the probe run whose
+    /// home slot does not lie strictly between the hole and itself moves
+    /// back into the hole, so lookups never need tombstones.
+    fn remove(&mut self, round: Round) -> Option<u32> {
+        let mut hole = self.find(round)?;
+        let head = self.slots[hole].1;
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let (r, _) = self.slots[j];
+            if r == 0 {
+                break;
+            }
+            // `r` probed from its home to `j`; it may fill the hole iff
+            // the hole lies on that probe path.
+            let home = self.home(r);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+        }
+        self.slots[hole] = (0, NIL);
+        self.len -= 1;
+        Some(head)
+    }
+}
+
+/// A node's place in the [`WakeQueue`]'s lists.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The round whose list holds the node; 0 = in no list (never
+    /// scheduled, halted, or already popped).
+    round: Round,
+    /// Neighbours in that list, valid only while `round != 0`.
+    next: u32,
+    prev: u32,
+}
+
+impl Link {
+    const UNLINKED: Link = Link {
+        round: 0,
+        next: NIL,
+        prev: NIL,
+    };
+}
+
+/// The scheduled-wake calendar: one intrusive node list per pending
+/// round.
 ///
-/// `schedule` may supersede an earlier, not-yet-fired entry for the same
-/// node; the stale heap entry is dropped when its round is popped. Rounds
-/// whose entries are all stale still surface from
-/// [`pop_round`](WakeQueue::pop_round) — with an empty live set — so the
-/// kernel can keep adjudicating faults for them; the kernel does **not**
-/// count such rounds toward `RunStats::rounds`. The run's final round is
-/// the last one in which some node actually executed, which is also what
-/// the metrics stream records (`stats.rounds == metrics.last_round()`
-/// whenever metrics are on — every driver agrees).
+/// Every node sits in at most one pending round's list, linked through
+/// per-node `next`/`prev` links, so [`schedule`](WakeQueue::schedule)
+/// and [`halt`](WakeQueue::halt) unlink a superseded wake in `O(1)` and no
+/// stale entry is ever stored. A [`RoundTable`] finds a round's list head,
+/// and a min-heap orders the *distinct* pending rounds — the paper's
+/// algorithms wake nodes in lockstep blocks, so many wakes share a round
+/// and the heap stays far smaller than the number of pending wakes.
+/// Memory is `O(n + pending rounds)`.
+///
+/// A round whose every node was unlinked (rescheduled or halted) still
+/// surfaces from [`pop_round`](WakeQueue::pop_round) — with an empty live
+/// set — so the kernel can keep adjudicating faults for it; the kernel
+/// does **not** count such rounds toward `RunStats::rounds`. The run's
+/// final round is the last one in which some node actually executed,
+/// which is also what the metrics stream records (`stats.rounds ==
+/// metrics.last_round()` whenever metrics are on — every driver agrees).
+///
+/// Rounds are at least 1, and a node is never scheduled into a round
+/// that has already been popped (the [`TimeDriver`] contract: rounds
+/// come back strictly increasing).
 #[derive(Debug)]
 pub(crate) struct WakeQueue {
-    heap: BinaryHeap<Reverse<(Round, u32)>>,
-    /// `Some(r)` = node will wake in round `r`; `None` = halted.
-    next_wake: Vec<Option<Round>>,
-    /// `popped_stamp[v] == r` marks v already returned for round r
-    /// (guards against duplicate heap entries; stamps start at 1).
+    /// Distinct pending rounds (live or emptied), earliest on top.
+    rounds: BinaryHeap<Reverse<Round>>,
+    /// Pending round → head of its node list; same key set as `rounds`.
+    table: RoundTable,
+    /// Per-node list membership, one cache line per few nodes.
+    links: Vec<Link>,
+    /// `popped_stamp[v] == r` marks v returned live for round r (stamps
+    /// start at 1, so 0 never matches a real round).
     popped_stamp: Vec<Round>,
 }
 
 impl WakeQueue {
     pub(crate) fn new(n: usize) -> Self {
         WakeQueue {
-            heap: BinaryHeap::with_capacity(n),
-            next_wake: vec![None; n],
+            rounds: BinaryHeap::new(),
+            table: RoundTable::new(),
+            links: vec![Link::UNLINKED; n],
             popped_stamp: vec![0; n],
         }
     }
@@ -286,22 +456,54 @@ impl WakeQueue {
     /// could silently swallow a wake (the reused-scratch differential
     /// proptests pin this).
     pub(crate) fn reset(&mut self, n: usize) {
-        self.heap.clear();
-        self.next_wake.clear();
-        self.next_wake.resize(n, None);
+        self.rounds.clear();
+        self.table.clear();
+        self.links.clear();
+        self.links.resize(n, Link::UNLINKED);
         self.popped_stamp.clear();
         self.popped_stamp.resize(n, 0);
     }
 
-    /// Schedules (or re-schedules) `node` to wake in `round`.
-    pub(crate) fn schedule(&mut self, node: u32, round: Round) {
-        self.next_wake[node as usize] = Some(round);
-        self.heap.push(Reverse((round, node)));
+    /// Removes `node` from its pending round's list, if it is in one.
+    /// The round itself stays pending, possibly with an empty list.
+    #[inline]
+    fn unlink(&mut self, node: u32) {
+        let Link { round, next, prev } = self.links[node as usize];
+        if round == 0 {
+            return;
+        }
+        self.links[node as usize].round = 0;
+        if next != NIL {
+            self.links[next as usize].prev = prev;
+        }
+        if prev != NIL {
+            self.links[prev as usize].next = next;
+        } else if let Some(head) = self.table.head_mut(round) {
+            *head = next;
+        }
     }
 
-    /// Marks `node` as halted; its pending entry (if any) goes stale.
+    /// Schedules (or re-schedules) `node` to wake in `round`.
+    pub(crate) fn schedule(&mut self, node: u32, round: Round) {
+        self.unlink(node);
+        let (head, inserted) = self.table.head_or_insert(round);
+        let old_head = std::mem::replace(head, node);
+        if inserted {
+            self.rounds.push(Reverse(round));
+        }
+        self.links[node as usize] = Link {
+            round,
+            next: old_head,
+            prev: NIL,
+        };
+        if old_head != NIL {
+            self.links[old_head as usize].prev = node;
+        }
+    }
+
+    /// Marks `node` as halted: it leaves its pending round's list.
     pub(crate) fn halt(&mut self, node: u32) {
-        self.next_wake[node as usize] = None;
+        self.unlink(node);
     }
 
     /// Withdraws `node` from the round it was just popped live for: the
@@ -313,9 +515,9 @@ impl WakeQueue {
         self.popped_stamp[node as usize] = 0;
     }
 
-    /// The earliest scheduled round, if any entry (live or stale) remains.
+    /// The earliest pending round, if any (even one whose list emptied).
     pub(crate) fn peek_round(&self) -> Option<Round> {
-        self.heap.peek().map(|&Reverse((r, _))| r)
+        self.rounds.peek().map(|&Reverse(r)| r)
     }
 
     /// Whether `node` was returned live by the pop for `round` (i.e. the
@@ -325,21 +527,19 @@ impl WakeQueue {
         self.popped_stamp[node as usize] == round
     }
 
-    /// Pops every entry of the earliest round. Returns that round and
-    /// fills `live` with the nodes genuinely waking now, **ascending**;
-    /// stale entries are dropped (but still produce a returned round).
+    /// Pops the earliest pending round. Returns that round and fills
+    /// `live` with the nodes of its list, **ascending**; a round whose
+    /// list emptied still returns, with an empty live set.
     pub(crate) fn pop_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
         live.clear();
-        let Reverse((round, _)) = *self.heap.peek()?;
-        while let Some(&Reverse((r, v))) = self.heap.peek() {
-            if r != round {
-                break;
-            }
-            self.heap.pop();
-            if self.next_wake[v as usize] == Some(r) && self.popped_stamp[v as usize] != round {
-                self.popped_stamp[v as usize] = round;
-                live.push(v);
-            }
+        let Reverse(round) = self.rounds.pop()?;
+        let mut v = self.table.remove(round).unwrap_or(NIL);
+        while v != NIL {
+            let link = &mut self.links[v as usize];
+            link.round = 0;
+            self.popped_stamp[v as usize] = round;
+            live.push(v);
+            v = link.next;
         }
         // Most rounds of the paper's token-passing phases wake a single
         // node; skip the sort machinery entirely for those.
@@ -513,8 +713,9 @@ trait TimeDriver {
 }
 
 /// [`Executor::Calendar`]: the event-driven driver. A thin shim over the
-/// [`WakeQueue`] heap — `next_round` pops the earliest populated round,
-/// so the clock jumps over silent rounds in `O(log n)`.
+/// [`WakeQueue`] — `next_round` pops the earliest pending round's list,
+/// so the clock jumps over silent rounds in `O(log P)` for `P` pending
+/// rounds.
 struct CalendarDriver<'a> {
     queue: &'a mut WakeQueue,
 }
@@ -600,7 +801,7 @@ impl TimeDriver for SyncDriver<'_> {
     }
 }
 
-/// [`Executor::Naive`]: the oracle driver. No heap, no stamps — just a
+/// [`Executor::Naive`]: the oracle driver. No lists, no stamps — just a
 /// per-node next-wake table scanned in full (`O(n)`) for every simulated
 /// round. Too simple to share a bug with the calendar machinery, which
 /// is its entire job.
@@ -1162,6 +1363,10 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -1230,7 +1435,7 @@ mod tests {
             q.schedule(v, 3);
         }
         q.schedule(4, 8); // supersedes node 4's round-3 entry
-        q.schedule(2, 3); // duplicate heap entry for the same (round, node)
+        q.schedule(2, 3); // reschedule into the round it already waits for
         let mut live = Vec::new();
         assert_eq!(q.pop_round(&mut live), Some(3));
         assert_eq!(live, vec![0, 1, 2, 3, 5]);
@@ -1256,6 +1461,238 @@ mod tests {
         q.schedule(0, 7); // same round number as the previous run
         assert_eq!(q.pop_round(&mut live), Some(7));
         assert_eq!(live, vec![0], "stale stamp swallowed the wake");
+    }
+
+    /// The list of `round`, head first, checking every node's `prev`
+    /// link and recorded round on the way.
+    fn list_of(q: &WakeQueue, round: Round) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut prev = NIL;
+        let mut v = q.table.find(round).map_or(NIL, |i| q.table.slots[i].1);
+        while v != NIL {
+            let link = q.links[v as usize];
+            assert_eq!(link.prev, prev, "prev link of {v}");
+            assert_eq!(link.round, round, "pending round of {v}");
+            out.push(v);
+            prev = v;
+            v = link.next;
+        }
+        out
+    }
+
+    /// Unlinking the head, a middle node and the tail of one round's
+    /// list each leave a well-formed list of the others.
+    #[test]
+    fn wake_queue_unlinks_head_middle_and_tail() {
+        for victim_pos in 0..3 {
+            let mut q = WakeQueue::new(3);
+            for v in 0..3u32 {
+                q.schedule(v, 5);
+            }
+            let before = list_of(&q, 5);
+            assert_eq!(before.len(), 3);
+            let victim = before[victim_pos];
+            q.halt(victim);
+            let rest: Vec<u32> = before.iter().copied().filter(|&v| v != victim).collect();
+            assert_eq!(list_of(&q, 5), rest, "victim at position {victim_pos}");
+            // The victim can rejoin the same round, and everyone pops.
+            q.schedule(victim, 5);
+            assert_eq!(list_of(&q, 5).len(), 3);
+            let mut live = Vec::new();
+            assert_eq!(q.pop_round(&mut live), Some(5));
+            assert_eq!(live, vec![0, 1, 2]);
+            assert_eq!(q.pop_round(&mut live), None);
+        }
+    }
+
+    /// The round table keeps every entry findable as it grows far past
+    /// its initial capacity, and through deletions afterwards.
+    #[test]
+    fn round_table_grows_past_initial_capacity() {
+        let mut t = RoundTable::new();
+        let initial = t.slots.len();
+        let rounds: Vec<Round> = (1..=1000u64).map(|i| i * 7 + (i % 3) * 1_000_003).collect();
+        for (head, &r) in rounds.iter().enumerate() {
+            let (slot, inserted) = t.head_or_insert(r);
+            assert!(inserted);
+            *slot = head as u32;
+        }
+        assert!(t.slots.len() > initial);
+        assert_eq!(t.len, rounds.len());
+        for (head, &r) in rounds.iter().enumerate() {
+            assert_eq!(t.head_mut(r).copied(), Some(head as u32), "round {r}");
+            assert!(!t.head_or_insert(r).1, "round {r} inserted twice");
+        }
+        for &r in rounds.iter().step_by(2) {
+            assert!(t.remove(r).is_some());
+        }
+        for (i, &r) in rounds.iter().enumerate() {
+            assert_eq!(t.find(r).is_some(), i % 2 == 1, "round {r}");
+        }
+        assert_eq!(t.len, rounds.len() / 2);
+        assert_eq!(t.remove(rounds[0]), None);
+    }
+
+    /// Keys that share a home slot — including one that wraps past the
+    /// end of the slot array — stay findable after any one of them is
+    /// deleted: the backward shift must move displaced entries back and
+    /// leave entries at their home slot in place.
+    #[test]
+    fn round_table_finds_colliding_keys_after_a_delete() {
+        let probe = RoundTable::new();
+        let last = probe.mask();
+        for home in [0, last / 2, last] {
+            let keys: Vec<Round> = (1..u64::MAX)
+                .filter(|&r| probe.home(r) == home)
+                .take(4)
+                .collect();
+            // Two neighbours in the same probe run: one homed a slot
+            // later (displaced, so it may shift back) and one homed just
+            // past the four colliders (at home, so it must not move).
+            let homed_at = |slot: usize| {
+                (1..u64::MAX)
+                    .find(|&r| probe.home(r) == slot & last)
+                    .unwrap_or(1)
+            };
+            let neighbours = [homed_at(home + 1), homed_at(home + 5)];
+            for removed in 0..keys.len() {
+                let mut t = RoundTable::new();
+                for (head, &r) in keys.iter().chain(&neighbours).enumerate() {
+                    *t.head_or_insert(r).0 = head as u32;
+                }
+                assert_eq!(t.remove(keys[removed]), Some(removed as u32));
+                assert_eq!(t.find(keys[removed]), None);
+                for (head, &r) in keys.iter().chain(&neighbours).enumerate() {
+                    if head != removed {
+                        assert_eq!(t.head_mut(r).copied(), Some(head as u32), "home {home}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reference model of [`WakeQueue`]: every pending round with the
+    /// set of nodes waking in it (possibly empty), plus the popped stamps.
+    #[derive(Default)]
+    struct ModelQueue {
+        rounds: BTreeMap<Round, BTreeSet<u32>>,
+        pending: Vec<Option<Round>>,
+        stamp: Vec<Round>,
+    }
+
+    impl ModelQueue {
+        fn reset(&mut self, n: usize) {
+            self.rounds.clear();
+            self.pending = vec![None; n];
+            self.stamp = vec![0; n];
+        }
+
+        fn unlink(&mut self, v: u32) {
+            if let Some(r) = self.pending[v as usize].take() {
+                if let Some(set) = self.rounds.get_mut(&r) {
+                    set.remove(&v);
+                }
+            }
+        }
+
+        fn schedule(&mut self, v: u32, round: Round) {
+            self.unlink(v);
+            self.rounds.entry(round).or_default().insert(v);
+            self.pending[v as usize] = Some(round);
+        }
+
+        fn pop_round(&mut self) -> Option<(Round, Vec<u32>)> {
+            let (round, set) = self.rounds.pop_first()?;
+            for &v in &set {
+                self.pending[v as usize] = None;
+                self.stamp[v as usize] = round;
+            }
+            Some((round, set.into_iter().collect()))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Random schedule / reschedule (to a new round and to the same
+        /// round) / halt / retract / pop / reset sequences: the queue and
+        /// the `BTreeMap` model return identical `(round, live)` pairs and
+        /// agree on every awake lookup.
+        #[test]
+        fn wake_queue_matches_a_btreemap_model(
+            n0 in 1u32..24,
+            ops in proptest::collection::vec((0u8..9, 0u32..64, 1u64..8), 1..160),
+        ) {
+            let mut n = n0;
+            let mut q = WakeQueue::new(n as usize);
+            let mut m = ModelQueue::default();
+            m.reset(n as usize);
+            // The last popped round: schedules stay strictly after it.
+            let mut last: Round = 0;
+            let mut live = Vec::new();
+            for (kind, raw, delta) in ops {
+                let v = raw % n;
+                match kind {
+                    0 | 1 => {
+                        q.schedule(v, last + delta);
+                        m.schedule(v, last + delta);
+                    }
+                    2 => {
+                        // A far round, so the table sees spread-out keys.
+                        let r = last + delta * 1_000_003;
+                        q.schedule(v, r);
+                        m.schedule(v, r);
+                    }
+                    3 => {
+                        // Reschedule into the round the node already waits
+                        // for (or a fresh one if it waits for none).
+                        let r = m.pending[v as usize].unwrap_or(last + delta);
+                        q.schedule(v, r);
+                        m.schedule(v, r);
+                    }
+                    4 => {
+                        q.halt(v);
+                        m.unlink(v);
+                    }
+                    5 => {
+                        q.retract(v);
+                        m.stamp[v as usize] = 0;
+                    }
+                    6 | 7 => {
+                        let got = q.pop_round(&mut live).map(|r| (r, live.clone()));
+                        let want = m.pop_round();
+                        prop_assert_eq!(&got, &want);
+                        if let Some((r, _)) = want {
+                            last = r;
+                        }
+                    }
+                    _ => {
+                        n = raw % 24 + 1;
+                        q.reset(n as usize);
+                        m.reset(n as usize);
+                        last = 0;
+                    }
+                }
+                prop_assert_eq!(q.peek_round(), m.rounds.keys().next().copied());
+                // Round 0 is never popped, so only real rounds are asked.
+                for u in (0..n).filter(|_| last != 0) {
+                    prop_assert_eq!(
+                        q.is_awake_in(u, last),
+                        m.stamp[u as usize] == last,
+                        "node {} in round {}", u, last
+                    );
+                }
+            }
+            // Drain: every remaining round pops identically.
+            loop {
+                let got = q.pop_round(&mut live).map(|r| (r, live.clone()));
+                let want = m.pop_round();
+                prop_assert_eq!(&got, &want);
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,15 +21,14 @@
 //!   - [`CollisionRule::Silence`] — a collision is indistinguishable from
 //!     silence.
 //!
-//! The executor is event-driven exactly like the CONGEST one: nodes
-//! schedule their next *active* round and the simulator skips quiet
-//! rounds, so `O(nN)`-round schedules with `O(1)` energy are cheap to run.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The executor is event-driven exactly like the CONGEST one, and shares
+//! its wake calendar (the engine's `WakeQueue`): nodes schedule their
+//! next *active* round and the simulator skips quiet rounds, so
+//! `O(nN)`-round schedules with `O(1)` energy are cheap to run.
 
 use graphlib::{NodeId, WeightedGraph};
 
+use crate::engine::WakeQueue;
 use crate::{EnergyModel, NextWake, NodeCtx, Payload, Round, SimError};
 
 /// What a node does in a round it scheduled itself active for.
@@ -205,9 +204,10 @@ impl<'g> RadioSimulator<'g> {
 
         let mut ctxs = Vec::with_capacity(n);
         let mut protocols = Vec::with_capacity(n);
-        let mut next_wake: Vec<Option<Round>> = Vec::with_capacity(n);
         let mut running = 0usize;
-        let mut queue: BinaryHeap<Reverse<(Round, u32)>> = BinaryHeap::new();
+        // The CONGEST kernel's calendar: a node is only ever rescheduled
+        // after it was popped, so no round ever pops empty here.
+        let mut queue = WakeQueue::new(n);
 
         // Hoisted: `max_external_id` is an O(n) scan, so calling it per
         // node would make setup O(n²); likewise the flat weight array is
@@ -234,8 +234,7 @@ impl<'g> RadioSimulator<'g> {
             let mut protocol = factory(&ctx);
             match protocol.init(&ctx) {
                 NextWake::At(r) if r >= 1 => {
-                    queue.push(Reverse((r, node.raw())));
-                    next_wake.push(Some(r));
+                    queue.schedule(node.raw(), r);
                     running += 1;
                 }
                 NextWake::At(_) => {
@@ -245,13 +244,12 @@ impl<'g> RadioSimulator<'g> {
                         requested: 0,
                     })
                 }
-                NextWake::Halt => next_wake.push(None),
+                NextWake::Halt => {}
             }
             ctxs.push(ctx);
             protocols.push(protocol);
         }
 
-        let mut active_stamp: Vec<Round> = vec![0; n];
         // `listen_stamp[v] == round` marks v listening this round — a
         // reusable stamp array instead of a per-round listener Vec.
         let mut listen_stamp: Vec<Round> = vec![0; n];
@@ -262,7 +260,7 @@ impl<'g> RadioSimulator<'g> {
         // First budget exhaustion of the run, adjudicated in ascending
         // node order like the CONGEST kernel's.
         let mut first_exhausted: Option<(NodeId, Round)> = None;
-        while let Some(&Reverse((round, _))) = queue.peek() {
+        while let Some(round) = queue.pop_round(&mut active_now) {
             if round > self.max_rounds {
                 if let Some((node, round)) = first_exhausted {
                     return Err(SimError::EnergyExhausted { node, round });
@@ -271,23 +269,6 @@ impl<'g> RadioSimulator<'g> {
                     limit: self.max_rounds,
                     running,
                 });
-            }
-            active_now.clear();
-            while let Some(&Reverse((r, v))) = queue.peek() {
-                if r != round {
-                    break;
-                }
-                queue.pop();
-                if next_wake[v as usize] == Some(r) && active_stamp[v as usize] != round {
-                    active_stamp[v as usize] = round;
-                    active_now.push(v);
-                }
-            }
-            if active_now.is_empty() {
-                continue;
-            }
-            if active_now.len() > 1 {
-                active_now.sort_unstable();
             }
             stats.rounds = round;
 
@@ -389,18 +370,15 @@ impl<'g> RadioSimulator<'g> {
                                 requested: r,
                             });
                         }
+                        // An exhausted node is simply not rescheduled:
+                        // it stays asleep for the rest of the run.
                         if exhausted {
-                            next_wake[v as usize] = None;
                             running -= 1;
                         } else {
-                            next_wake[v as usize] = Some(r);
-                            queue.push(Reverse((r, v)));
+                            queue.schedule(v, r);
                         }
                     }
-                    NextWake::Halt => {
-                        next_wake[v as usize] = None;
-                        running -= 1;
-                    }
+                    NextWake::Halt => running -= 1,
                 }
             }
             for &v in &active_now {

@@ -1,7 +1,8 @@
 //! Differential tests: one generic kernel, three interchangeable time
-//! drivers. The calendar driver (heap-jumping, the default behind
-//! [`Simulator::run`]), the synchronous driver (ticks every round), and
-//! the naive driver (O(n)-scan oracle, also reachable as
+//! drivers. The calendar driver (per-round wake lists, jumping between
+//! pending rounds; the default behind [`Simulator::run`]), the
+//! synchronous driver (ticks every round), and the naive driver
+//! (O(n)-scan oracle, also reachable as
 //! [`netsim::engine::run_naive`]) share the kernel body but disagree on
 //! the entire scheduling core, so agreement here pins down the hot
 //! path's observable semantics: final protocol states, the full

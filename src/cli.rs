@@ -940,7 +940,7 @@ ENERGY (run, sweep, report, chaos; serve takes it per request):
 
 EXECUTORS:
     Execution is one generic kernel parameterized by a time driver:
-    `calendar` (the default) jumps between scheduled wakes on a heap,
+    `calendar` (the default) jumps between rounds with scheduled wakes,
     `sync` ticks every round, `naive` is an O(n)-scan oracle. All three
     are bit-identical on every run — fingerprints, stats, traces, and
     metrics — so --executor only changes wall-clock cost (that is what

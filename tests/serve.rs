@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use bench::serve::admission::TokenBucket;
 use bench::serve::protocol::{codes, render_error_body, render_run_result};
-use bench::serve::{ServeConfig, Server};
+use bench::serve::{ServeConfig, Server, MAX_LINE_BYTES};
 use sleeping_mst::graphlib::generators;
 use sleeping_mst::mst_core::wire::{CanonicalRun, RunRequest};
 use sleeping_mst::mst_core::MstScratch;
@@ -424,6 +424,33 @@ fn deeply_nested_line_gets_a_typed_reply_and_the_daemon_stays_up() {
     let mut client = Client::connect(&server);
 
     let resp = client.request(&"[".repeat(200_000));
+    assert!(!resp.ok, "{resp:?}");
+    assert_eq!(&resp.source, "reject", "{resp:?}");
+    assert!(
+        resp.fragment
+            .contains(&format!("\"code\":\"{}\"", codes::PARSE)),
+        "{resp:?}"
+    );
+
+    let run = client.request("{\"id\":2,\"cmd\":\"run\",\"alg\":\"prim\",\"graph\":\"ring:8\"}");
+    assert!(run.ok && run.id == 2, "{run:?}");
+
+    let s = stats(&mut client);
+    assert_eq!((s.received, s.rejected), (1, 1));
+
+    server.begin_shutdown();
+    server.join().unwrap();
+}
+
+/// A request line past `MAX_LINE_BYTES` gets one typed reject, the rest
+/// of it is discarded, and the next line on the same connection is
+/// served normally.
+#[test]
+fn over_long_line_gets_a_typed_reply_and_the_daemon_stays_up() {
+    let server = Server::start(ServeConfig::new(test_socket("longline"))).unwrap();
+    let mut client = Client::connect(&server);
+
+    let resp = client.request(&"x".repeat(4 * MAX_LINE_BYTES));
     assert!(!resp.ok, "{resp:?}");
     assert_eq!(&resp.source, "reject", "{resp:?}");
     assert!(
