@@ -33,6 +33,7 @@ pub mod cache;
 pub mod protocol;
 pub(crate) mod worker;
 
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -103,10 +104,12 @@ struct ServerInner {
     shutdown: AtomicBool,
     socket: PathBuf,
     workers: usize,
-    /// Write-half clones of every accepted connection, for forced
-    /// close during teardown.
-    conns: Mutex<Vec<UnixStream>>,
-    /// Per-connection reader threads (each joins its own writer).
+    /// Write-half clones of the live connections, keyed by connection
+    /// id, for forced close during teardown. A connection removes its
+    /// own entry when it ends.
+    conns: Mutex<BTreeMap<u64, UnixStream>>,
+    /// Per-connection reader threads (each joins its own writer). The
+    /// accept loop joins the finished ones before adding a new one.
     readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -152,7 +155,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             socket: config.socket.clone(),
             workers: config.workers.max(1),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(BTreeMap::new()),
             readers: Mutex::new(Vec::new()),
         });
         let workers = (0..config.workers.max(1))
@@ -166,21 +169,28 @@ impl Server {
             .collect();
         let accept_inner = Arc::clone(&inner);
         let listener = thread::spawn(move || {
-            for conn in listener.incoming() {
+            for (id, conn) in (0u64..).zip(listener.incoming()) {
                 if accept_inner.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
+                // Registered before the reader starts, so the reader's
+                // removal on exit always finds the entry.
                 if let Ok(clone) = stream.try_clone() {
-                    accept_inner.conns.lock().expect("conns lock").push(clone);
+                    accept_inner
+                        .conns
+                        .lock()
+                        .expect("conns lock")
+                        .insert(id, clone);
                 }
                 let conn_inner = Arc::clone(&accept_inner);
-                let handle = thread::spawn(move || handle_conn(conn_inner, stream));
-                accept_inner
-                    .readers
-                    .lock()
-                    .expect("readers lock")
-                    .push(handle);
+                let handle = thread::spawn(move || {
+                    handle_conn(&conn_inner, stream);
+                    conn_inner.conns.lock().expect("conns lock").remove(&id);
+                });
+                let mut readers = accept_inner.readers.lock().expect("readers lock");
+                join_finished(&mut readers);
+                readers.push(handle);
             }
         });
         Ok(Server {
@@ -218,7 +228,8 @@ impl Server {
         for worker in self.workers.drain(..) {
             worker.join().map_err(|_| "worker panicked")?;
         }
-        for conn in self.inner.conns.lock().expect("conns lock").drain(..) {
+        let conns = std::mem::take(&mut *self.inner.conns.lock().expect("conns lock"));
+        for conn in conns.values() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         let readers: Vec<JoinHandle<()>> = self
@@ -241,10 +252,23 @@ impl Server {
     }
 }
 
+/// Joins and removes the reader threads that have already returned, so
+/// the handles of ended connections do not pile up.
+fn join_finished(readers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < readers.len() {
+        if readers[i].is_finished() {
+            let _ = readers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// One connection: a reader loop on this thread plus a dedicated writer
 /// thread, decoupled by a channel so a worker publishing a result never
 /// blocks on a slow client socket.
-fn handle_conn(inner: Arc<ServerInner>, stream: UnixStream) {
+fn handle_conn(inner: &ServerInner, stream: UnixStream) {
     let (tx, rx) = mpsc::channel::<String>();
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -270,11 +294,11 @@ fn handle_conn(inner: Arc<ServerInner>, stream: UnixStream) {
                     break;
                 };
                 if !line.trim().is_empty() {
-                    respond(&inner, line.trim(), &tx);
+                    respond(inner, line.trim(), &tx);
                 }
             }
             Ok(LineRead::TooLong) => reject(
-                &inner,
+                inner,
                 &tx,
                 0,
                 protocol::codes::PARSE,

@@ -42,12 +42,10 @@
 //! | 13+3N | `MergeUp2` | singleton sweep up |
 //! | 14+3N | `MergeDown2` | singleton sweep down (apply at phase end) |
 
-use std::collections::BTreeMap;
-
 use graphlib::Port;
 use netsim::{Envelope, NextWake, NodeCtx, Outbox, Protocol, Round};
 
-use crate::fragment::{FragmentCore, Step};
+use crate::fragment::{FragmentCore, SortedVecMap, Step, Steps};
 use crate::ldt::LdtView;
 use crate::msg::{Color, Dir, MstMsg, NbrSet};
 use crate::schedule::ts_offsets;
@@ -163,23 +161,6 @@ fn cv_step(mine: u64, parent: u64) -> u64 {
     2 * i + ((mine >> i) & 1)
 }
 
-/// Bit index of a palette color in the 5-bit masks.
-fn color_bit(c: Color) -> u8 {
-    1 << Color::PALETTE
-        .iter()
-        .position(|&x| x == c)
-        .expect("palette color")
-}
-
-/// The colors present in a 5-bit mask.
-fn mask_colors(mask: u8) -> Vec<Color> {
-    Color::PALETTE
-        .iter()
-        .copied()
-        .filter(|&c| mask & color_bit(c) != 0)
-        .collect()
-}
-
 /// Per-node state of `Deterministic-MST`. Implements [`netsim::Protocol`].
 #[derive(Debug, Clone)]
 pub struct DeterministicMst {
@@ -197,9 +178,9 @@ pub struct DeterministicMst {
     /// Ports carrying an incoming MOE this phase (ascending).
     in_moe_ports: Vec<Port>,
     /// Incoming-MOE edge counts reported by each child subtree.
-    child_counts: BTreeMap<Port, u64>,
+    child_counts: SortedVecMap<Port, u64>,
     /// Token allocations to forward to children.
-    child_tokens: BTreeMap<Port, u64>,
+    child_tokens: SortedVecMap<Port, u64>,
     /// The incoming MOEs this node selected as valid.
     valid_in_ports: Vec<Port>,
     /// At the outgoing-MOE endpoint: did the target select our MOE?
@@ -211,7 +192,7 @@ pub struct DeterministicMst {
 
     // --- coloring scratch (Fast-Awake-Coloring mode) ---
     /// Colors of neighbor fragments, keyed by fragment id.
-    nbr_colors: BTreeMap<u64, Color>,
+    nbr_colors: SortedVecMap<u64, Color>,
     /// Color received from the staged fragment this stage: (stage, color).
     stage_recv: Option<(u64, Color)>,
     /// Color aggregated up the tree this stage: (stage, color).
@@ -284,13 +265,13 @@ impl DeterministicMst {
             frag_moe: None,
             moe_port: None,
             in_moe_ports: Vec::new(),
-            child_counts: BTreeMap::new(),
-            child_tokens: BTreeMap::new(),
+            child_counts: SortedVecMap::new(),
+            child_tokens: SortedVecMap::new(),
             valid_in_ports: Vec::new(),
             out_valid: None,
             agg_nbrs: NbrSet::new(),
             nbr_info: NbrSet::new(),
-            nbr_colors: BTreeMap::new(),
+            nbr_colors: SortedVecMap::new(),
             stage_recv: None,
             stage_agg: None,
             cv_has_parent: false,
@@ -423,7 +404,7 @@ impl DeterministicMst {
         if let Some(f) = self.final_color {
             return f;
         }
-        let f = Color::pick(&mask_colors(self.final_nbr_mask));
+        let f = Color::pick(self.final_nbr_mask);
         self.final_color = Some(f);
         f
     }
@@ -447,21 +428,14 @@ impl DeterministicMst {
     // --- fragment-level derived facts ---
 
     /// Ports that carry `G'` edges (valid MOEs), with the far fragment id.
-    fn gprime_ports(&self) -> Vec<(Port, u64)> {
-        let mut out = Vec::new();
-        for &p in &self.valid_in_ports {
-            if let Some((f, _)) = self.core.nbr[p.index()] {
-                out.push((p, f));
-            }
-        }
-        if self.out_valid == Some(true) {
-            if let Some(p) = self.moe_port {
-                if let Some((f, _)) = self.core.nbr[p.index()] {
-                    out.push((p, f));
-                }
-            }
-        }
-        out
+    /// Valid incoming MOEs first, then the valid outgoing one.
+    fn gprime_ports(&self) -> impl Iterator<Item = (Port, u64)> + '_ {
+        let out = self.moe_port.filter(|_| self.out_valid == Some(true));
+        self.valid_in_ports
+            .iter()
+            .copied()
+            .chain(out)
+            .filter_map(|p| self.core.nbr[p.index()].map(|(f, _)| (p, f)))
     }
 
     /// This fragment's color at merge time.
@@ -479,19 +453,19 @@ impl DeterministicMst {
                 .final_color
                 .expect("recolor stages fix the final color");
         }
-        let used: Vec<Color> = self
+        let used = self
             .nbr_info
-            .fragments()
-            .into_iter()
-            .filter(|&f| f < self.core.frag)
-            .map(|f| {
-                *self
+            .entries()
+            .iter()
+            .filter(|&&(f, _)| f < self.core.frag)
+            .fold(0, |mask, &(f, _)| {
+                mask | self
                     .nbr_colors
-                    .get(&f)
+                    .get(f)
                     .expect("smaller-id neighbors are colored before our stage")
-            })
-            .collect();
-        Color::pick(&used)
+                    .bit()
+            });
+        Color::pick(used)
     }
 
     /// Decides the merge roles after coloring (idempotent).
@@ -501,9 +475,10 @@ impl DeterministicMst {
         self.merging2 = blue && self.nbr_info.is_empty();
         self.attach_port = None;
         if self.merging1 {
-            let choice = *self
+            // Entries are sorted by fragment: the first is the smallest.
+            let (choice, _) = *self
                 .nbr_info
-                .fragments()
+                .entries()
                 .first()
                 .expect("merging1 implies neighbors");
             if self.nbr_info.contains(choice, Dir::Out) {
@@ -543,26 +518,26 @@ impl DeterministicMst {
     }
 
     /// The node's wake schedule inside one block, sorted by offset.
-    fn steps_for(&self, block: u64, degree: usize) -> Vec<(u64, Step)> {
+    fn steps_for(&self, block: u64, degree: usize) -> Steps {
         let o = ts_offsets(self.timeline.n(), self.core.level);
         let root = self.core.is_root();
         let kids = self.core.has_children();
-        let mut steps = Vec::with_capacity(2);
+        let mut steps = Steps::new();
 
-        let upcast_shape = |steps: &mut Vec<(u64, Step)>| {
+        let upcast_shape = |steps: &mut Steps| {
             if kids {
-                steps.push((o.up_receive, Step::UpReceive));
+                steps.push(o.up_receive, Step::UpReceive);
             }
             if let Some(up) = o.up_send {
-                steps.push((up, Step::UpSend));
+                steps.push(up, Step::UpSend);
             }
         };
-        let bcast_shape = |steps: &mut Vec<(u64, Step)>| {
+        let bcast_shape = |steps: &mut Steps| {
             if let Some(dr) = o.down_receive {
-                steps.push((dr, Step::DownReceive));
+                steps.push(dr, Step::DownReceive);
             }
             if kids || root {
-                steps.push((o.down_send, Step::DownSend));
+                steps.push(o.down_send, Step::DownSend);
             }
         };
 
@@ -573,18 +548,15 @@ impl DeterministicMst {
                 0 => {
                     let has_edge_to_stage =
                         self.gprime_ports()
-                            .iter()
-                            .any(|&(_, f)| if mine { true } else { f == stage });
+                            .any(|(_, f)| if mine { true } else { f == stage });
                     if (mine || listening) && has_edge_to_stage && degree > 0 {
-                        steps.push((o.side, Step::Side));
+                        steps.push(o.side, Step::Side);
                     }
                 }
                 1 if listening => upcast_shape(&mut steps),
                 2 if listening => bcast_shape(&mut steps),
                 _ => {}
             }
-            // lint:allow(determinism) -- step offsets within a block are pairwise distinct by Timeline construction
-            steps.sort_unstable_by_key(|&(off, _)| off);
             return steps;
         }
 
@@ -595,7 +567,7 @@ impl DeterministicMst {
                 return steps;
             }
             let t = cv_iterations(self.id_bound);
-            let boundary = !self.gprime_ports().is_empty();
+            let boundary = self.gprime_ports().next().is_some();
             match triple {
                 // Has-parent prep: disseminate u_T's verdict.
                 0 => match sub {
@@ -606,14 +578,14 @@ impl DeterministicMst {
                 // CV iterations: boundary announce, parent-fragments
                 // disseminate the received parent color.
                 k if (1..=t).contains(&k) => match sub {
-                    0 if boundary => steps.push((o.side, Step::Side)),
+                    0 if boundary => steps.push(o.side, Step::Side),
                     1 if self.cv_has_parent => upcast_shape(&mut steps),
                     2 if self.cv_has_parent => bcast_shape(&mut steps),
                     _ => {}
                 },
                 // CV-class exchange with all G' neighbors.
                 k if k == t + 1 => match sub {
-                    0 if boundary => steps.push((o.side, Step::Side)),
+                    0 if boundary => steps.push(o.side, Step::Side),
                     1 => upcast_shape(&mut steps),
                     2 => bcast_shape(&mut steps),
                     _ => {}
@@ -629,12 +601,12 @@ impl DeterministicMst {
                                 boundary
                             } else {
                                 listening
-                                    && self.gprime_ports().iter().any(|&(p, _)| {
+                                    && self.gprime_ports().any(|(p, _)| {
                                         self.nbr_cv_color_by_port[p.index()] == Some(c)
                                     })
                             };
                             if relevant {
-                                steps.push((o.side, Step::Side));
+                                steps.push(o.side, Step::Side);
                             }
                         }
                         1 if listening => upcast_shape(&mut steps),
@@ -643,19 +615,17 @@ impl DeterministicMst {
                     }
                 }
             }
-            // lint:allow(determinism) -- step offsets within a block are pairwise distinct by Timeline construction
-            steps.sort_unstable_by_key(|&(off, _)| off);
             return steps;
         }
 
         match block {
             FRAG_ID_EXCHANGE | MOE_FLAG_EXCHANGE | VALID_NOTIFY if degree > 0 => {
-                steps.push((o.side, Step::Side));
+                steps.push(o.side, Step::Side);
             }
             UPCAST_MOE | UP_COUNT | UP_NBRS => upcast_shape(&mut steps),
             BCAST_MOE | TOKEN_DOWN | BCAST_NBRS => bcast_shape(&mut steps),
             b if (b == self.merge_info1() || b == self.merge_info2()) && degree > 0 => {
-                steps.push((o.side, Step::Side));
+                steps.push(o.side, Step::Side);
             }
             b if b == self.merge_up1() || b == self.merge_up2() => {
                 let merging = if b == self.merge_up1() {
@@ -675,17 +645,15 @@ impl DeterministicMst {
                 };
                 if merging {
                     if let Some(dr) = o.down_receive {
-                        steps.push((dr, Step::DownReceive));
+                        steps.push(dr, Step::DownReceive);
                     }
                     if kids {
-                        steps.push((o.down_send, Step::DownSend));
+                        steps.push(o.down_send, Step::DownSend);
                     }
                 }
             }
             _ => {}
         }
-        // lint:allow(determinism) -- step offsets within a block are pairwise distinct by Timeline construction
-        steps.sort_unstable_by_key(|&(off, _)| off);
         steps
     }
 
@@ -718,11 +686,7 @@ impl DeterministicMst {
                 }
             }
 
-            let next = self
-                .steps_for(block, degree)
-                .into_iter()
-                .find(|&(off, _)| after.is_none_or(|a| off > a));
-            if let Some((offset, step)) = next {
+            if let Some((offset, step)) = self.steps_for(block, degree).first_after(after) {
                 self.next_step = Some((phase, block, offset, step));
                 return NextWake::At(self.timeline.round(Position {
                     phase,
@@ -750,10 +714,11 @@ impl DeterministicMst {
 
     /// The smallest stage id ≥ `from` in which this node participates.
     fn next_participating_stage(&self, from: u64) -> Option<u64> {
-        let mut stages: Vec<u64> = self.nbr_info.fragments();
-        stages.push(self.core.frag);
-        stages
-            .into_iter()
+        self.nbr_info
+            .entries()
+            .iter()
+            .map(|&(f, _)| f)
+            .chain(std::iter::once(self.core.frag))
             .filter(|&s| s >= from && s <= self.id_bound)
             .min()
     }
@@ -769,8 +734,8 @@ impl DeterministicMst {
         self.child_tokens.clear();
         self.valid_in_ports.clear();
         self.out_valid = None;
-        self.agg_nbrs = NbrSet::new();
-        self.nbr_info = NbrSet::new();
+        self.agg_nbrs.clear();
+        self.nbr_info.clear();
         self.nbr_colors.clear();
         self.stage_recv = None;
         self.stage_agg = None;
@@ -799,11 +764,12 @@ impl DeterministicMst {
     /// the results in `valid_in_ports` / `child_tokens`.
     fn allocate_tokens(&mut self, mut tokens: u64) {
         let own = (self.in_moe_ports.len() as u64).min(tokens);
-        self.valid_in_ports = self.in_moe_ports[..own as usize].to_vec();
+        self.valid_in_ports.clear();
+        self.valid_in_ports
+            .extend_from_slice(&self.in_moe_ports[..own as usize]);
         tokens -= own;
         self.child_tokens.clear();
-        let counts: Vec<(Port, u64)> = self.child_counts.iter().map(|(&p, &c)| (p, c)).collect();
-        for (p, c) in counts {
+        for (p, c) in self.child_counts.iter() {
             let grant = c.min(tokens);
             tokens -= grant;
             self.child_tokens.insert(p, grant);
@@ -812,7 +778,7 @@ impl DeterministicMst {
 
     /// Own + children incoming-MOE edge count.
     fn subtree_count(&self) -> u64 {
-        self.in_moe_ports.len() as u64 + self.child_counts.values().sum::<u64>()
+        self.in_moe_ports.len() as u64 + self.child_counts.iter().map(|(_, c)| c).sum::<u64>()
     }
 
     /// This node's contribution to NBR-INFO.
@@ -1004,9 +970,9 @@ impl Protocol for DeterministicMst {
                         let color = agg.expect("a G' edge to the staged fragment exists");
                         self.nbr_colors.insert(stage, color);
                     }
-                    let color = *self
+                    let color = self
                         .nbr_colors
-                        .get(&stage)
+                        .get(stage)
                         .expect("broadcast color fixed at the root");
                     for &p in &self.core.children {
                         outbox.push(p, MstMsg::DownColor(color));
@@ -1086,10 +1052,7 @@ impl Protocol for DeterministicMst {
                     self.allocate_tokens(tokens);
                 }
                 for &p in &self.core.children {
-                    outbox.push(
-                        p,
-                        MstMsg::DownTokens(self.child_tokens.get(&p).copied().unwrap_or(0)),
-                    );
+                    outbox.push(p, MstMsg::DownTokens(self.child_tokens.get(p).unwrap_or(0)));
                 }
             }
 
@@ -1235,7 +1198,7 @@ impl Protocol for DeterministicMst {
                     for env in inbox {
                         if let MstMsg::SideColor(col) = env.msg {
                             if self.nbr_cv_color_by_port[env.port.index()] == Some(c) {
-                                self.or_mask_recv(triple, color_bit(col));
+                                self.or_mask_recv(triple, col.bit());
                             }
                         }
                     }
@@ -1386,7 +1349,9 @@ impl Protocol for DeterministicMst {
             (BCAST_NBRS, Step::DownReceive) => {
                 for env in inbox {
                     if let MstMsg::DownNbrs(ref s) = env.msg {
-                        self.nbr_info = s.clone();
+                        // In place: the set keeps its storage across phases.
+                        self.nbr_info.clear();
+                        self.nbr_info.union(s);
                     }
                 }
             }

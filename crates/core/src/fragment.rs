@@ -23,6 +23,93 @@ pub(crate) enum Step {
     UpSend,
 }
 
+/// A node's planned wakes inside one block, in ascending offset order:
+/// at most two `(offset, Step)` pairs, held inline so replanning after
+/// every wake allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Steps {
+    pairs: [(u64, Step); 2],
+    len: usize,
+}
+
+impl Steps {
+    /// No wakes in the block.
+    pub fn new() -> Self {
+        Steps {
+            pairs: [(0, Step::Side); 2],
+            len: 0,
+        }
+    }
+
+    /// Adds a wake, keeping the pairs ordered by offset (a tie keeps
+    /// insertion order).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a third step: every block shape of the
+    /// `Transmission-Schedule` wakes a node at most twice.
+    pub fn push(&mut self, offset: u64, step: Step) {
+        assert!(self.len < 2, "a block plans at most two wakes per node");
+        self.pairs[self.len] = (offset, step);
+        self.len += 1;
+        if self.len == 2 && self.pairs[1].0 < self.pairs[0].0 {
+            self.pairs.swap(0, 1);
+        }
+    }
+
+    /// The first wake strictly after offset `after` (any wake when
+    /// `after` is `None`).
+    pub fn first_after(&self, after: Option<u64>) -> Option<(u64, Step)> {
+        self.pairs[..self.len]
+            .iter()
+            .copied()
+            .find(|&(off, _)| after.is_none_or(|a| off > a))
+    }
+}
+
+/// A small map kept as a `Vec` sorted by key: the per-phase tables of a
+/// node hold a handful of entries, and [`SortedVecMap::clear`] keeps the
+/// storage for the next phase.
+#[derive(Debug, Clone)]
+pub(crate) struct SortedVecMap<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K: Ord + Copy, V: Copy> SortedVecMap<K, V> {
+    /// An empty map.
+    pub fn new() -> Self {
+        SortedVecMap {
+            entries: Vec::new(),
+        }
+    }
+
+    /// Inserts `value` under `key`, overwriting an existing entry.
+    pub fn insert(&mut self, key: K, value: V) {
+        match self.entries.binary_search_by(|&(k, _)| k.cmp(&key)) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (key, value)),
+        }
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: K) -> Option<V> {
+        self.entries
+            .binary_search_by(|&(k, _)| k.cmp(&key))
+            .ok()
+            .map(|i| self.entries[i].1)
+    }
+
+    /// All entries in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, V)> + '_ {
+        self.entries.iter().copied()
+    }
+
+    /// Removes every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
 /// The LDT state of one node plus the per-phase scratch both algorithms
 /// need: learned neighbor fragment info, merge staging variables
 /// (NEW-LEVEL-NUM / NEW-FRAGMENT-ID of the paper), and the MST output
@@ -129,6 +216,8 @@ impl FragmentCore {
 mod tests {
     use super::*;
     use graphlib::NodeId;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn ctx(degree: usize) -> NodeCtx {
         NodeCtx {
@@ -141,6 +230,64 @@ mod tests {
                 .collect::<Vec<_>>()
                 .into(),
             rng_seed: 0,
+        }
+    }
+
+    #[test]
+    fn steps_order_does_not_depend_on_push_order() {
+        let a = (3, Step::DownReceive);
+        let b = (9, Step::DownSend);
+        let mut ab = Steps::new();
+        ab.push(a.0, a.1);
+        ab.push(b.0, b.1);
+        let mut ba = Steps::new();
+        ba.push(b.0, b.1);
+        ba.push(a.0, a.1);
+        for steps in [ab, ba] {
+            assert_eq!(steps.first_after(None), Some(a));
+            assert_eq!(steps.first_after(Some(a.0)), Some(b));
+            assert_eq!(steps.first_after(Some(b.0)), None);
+        }
+        assert_eq!(ab, ba);
+        assert_eq!(Steps::new().first_after(None), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most two wakes")]
+    fn steps_refuse_a_third_wake() {
+        let mut steps = Steps::new();
+        for off in 0..3 {
+            steps.push(off, Step::Side);
+        }
+    }
+
+    proptest! {
+        /// The sorted-`Vec` map agrees with a `BTreeMap` through random
+        /// insert / overwrite / get / clear sequences, including the
+        /// key-ordered walk.
+        #[test]
+        fn sorted_vec_map_matches_a_btreemap_model(
+            ops in proptest::collection::vec((0u8..4, 0u32..12, any::<u64>()), 0..64)
+        ) {
+            let mut map = SortedVecMap::new();
+            let mut model = BTreeMap::new();
+            for (op, key, value) in ops {
+                let port = Port::new(key);
+                match op {
+                    0 | 1 => {
+                        map.insert(port, value);
+                        model.insert(port, value);
+                    }
+                    2 => prop_assert_eq!(map.get(port), model.get(&port).copied()),
+                    _ => {
+                        map.clear();
+                        model.clear();
+                    }
+                }
+                let walked: Vec<(Port, u64)> = map.iter().collect();
+                let expect: Vec<(Port, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+                prop_assert_eq!(walked, expect);
+            }
         }
     }
 

@@ -47,16 +47,23 @@ impl Color {
         Color::Green,
     ];
 
-    /// The highest-priority color not present in `used`.
+    /// This color's bit in a 5-bit color mask: bit `i` stands for
+    /// `PALETTE[i]`.
+    pub const fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
+    /// The highest-priority color whose [`Color::bit`] is clear in
+    /// `used`.
     ///
     /// # Panics
     ///
     /// Panics if all five colors are used — impossible while the fragment
     /// graph has maximum degree 4.
-    pub fn pick(used: &[Color]) -> Color {
+    pub fn pick(used: u8) -> Color {
         *Self::PALETTE
             .iter()
-            .find(|c| !used.contains(c))
+            .find(|c| used & c.bit() == 0)
             .expect("degree-4 graph cannot exhaust a 5-color palette")
     }
 }
@@ -109,11 +116,9 @@ impl NbrSet {
         &self.entries
     }
 
-    /// Distinct neighbor fragment ids, sorted ascending.
-    pub fn fragments(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.entries.iter().map(|&(f, _)| f).collect();
-        out.dedup();
-        out
+    /// Removes every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// `true` if the fragment has no `G'` neighbors (a *singleton* in the
@@ -270,21 +275,54 @@ impl Payload for MstMsg {
 mod tests {
     use super::*;
 
+    fn mask(colors: &[Color]) -> u8 {
+        colors.iter().fold(0, |m, c| m | c.bit())
+    }
+
     #[test]
     fn color_pick_follows_priority() {
-        assert_eq!(Color::pick(&[]), Color::Blue);
-        assert_eq!(Color::pick(&[Color::Blue]), Color::Red);
-        assert_eq!(Color::pick(&[Color::Red, Color::Blue]), Color::Orange);
+        assert_eq!(Color::pick(0), Color::Blue);
+        assert_eq!(Color::pick(mask(&[Color::Blue])), Color::Red);
+        assert_eq!(Color::pick(mask(&[Color::Red, Color::Blue])), Color::Orange);
         assert_eq!(
-            Color::pick(&[Color::Blue, Color::Red, Color::Orange, Color::Black]),
+            Color::pick(mask(&[
+                Color::Blue,
+                Color::Red,
+                Color::Orange,
+                Color::Black
+            ])),
             Color::Green
         );
     }
 
     #[test]
+    fn color_pick_agrees_with_a_slice_pick_on_every_mask() {
+        for (i, c) in Color::PALETTE.iter().enumerate() {
+            assert_eq!(c.bit(), 1 << i, "{c:?}");
+        }
+        // The pick over a list of used colors, as the palette defines it.
+        let slice_pick =
+            |used: &[Color]| Color::PALETTE.iter().copied().find(|c| !used.contains(c));
+        for m in 0u8..32 {
+            let used: Vec<Color> = Color::PALETTE
+                .iter()
+                .copied()
+                .filter(|c| m & c.bit() != 0)
+                .collect();
+            assert_eq!(mask(&used), m);
+            let expect = slice_pick(&used);
+            if m == 0b1_1111 {
+                assert_eq!(expect, None);
+            } else {
+                assert_eq!(Some(Color::pick(m)), expect, "mask {m:05b}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "5-color palette")]
     fn color_pick_panics_when_exhausted() {
-        Color::pick(&Color::PALETTE);
+        Color::pick(mask(&Color::PALETTE));
     }
 
     #[test]
@@ -294,11 +332,12 @@ mod tests {
         s.insert(3, Dir::Out);
         s.insert(9, Dir::In);
         assert_eq!(s.entries(), &[(3, Dir::Out), (9, Dir::In)]);
-        assert_eq!(s.fragments(), vec![3, 9]);
         assert!(s.contains(9, Dir::In));
         assert!(!s.contains(9, Dir::Out));
         assert!(s.contains_fragment(3));
         assert!(!s.contains_fragment(4));
+        s.clear();
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use graphlib::Port;
 use netsim::{Envelope, NextWake, NodeCtx, Outbox, Protocol, Round};
 
-use crate::fragment::{FragmentCore, Step};
+use crate::fragment::{FragmentCore, Step, Steps};
 use crate::ldt::LdtView;
 use crate::msg::MstMsg;
 use crate::schedule::ts_offsets;
@@ -110,35 +110,33 @@ impl PrimMst {
         self.core.frag == self.leader
     }
 
-    fn steps_for(&self, block: u64, degree: usize) -> Vec<(u64, Step)> {
+    fn steps_for(&self, block: u64, degree: usize) -> Steps {
         let o = ts_offsets(self.timeline.n(), self.core.level);
         let root = self.core.is_root();
         let kids = self.core.has_children();
-        let mut steps = Vec::with_capacity(2);
+        let mut steps = Steps::new();
         match block {
             FRAG_ID_EXCHANGE | MERGE_INFO if degree > 0 => {
-                steps.push((o.side, Step::Side));
+                steps.push(o.side, Step::Side);
             }
             UPCAST_MOE if self.in_leader_fragment() => {
                 if kids {
-                    steps.push((o.up_receive, Step::UpReceive));
+                    steps.push(o.up_receive, Step::UpReceive);
                 }
                 if let Some(up) = o.up_send {
-                    steps.push((up, Step::UpSend));
+                    steps.push(up, Step::UpSend);
                 }
             }
             BCAST_MOE if self.in_leader_fragment() => {
                 if let Some(dr) = o.down_receive {
-                    steps.push((dr, Step::DownReceive));
+                    steps.push(dr, Step::DownReceive);
                 }
                 if kids || root {
-                    steps.push((o.down_send, Step::DownSend));
+                    steps.push(o.down_send, Step::DownSend);
                 }
             }
             _ => {}
         }
-        // lint:allow(determinism) -- step offsets within a block are pairwise distinct by Timeline construction
-        steps.sort_unstable_by_key(|&(off, _)| off);
         steps
     }
 
@@ -150,11 +148,7 @@ impl PrimMst {
         degree: usize,
     ) -> NextWake {
         loop {
-            let next = self
-                .steps_for(block, degree)
-                .into_iter()
-                .find(|&(off, _)| after.is_none_or(|a| off > a));
-            if let Some((offset, step)) = next {
+            if let Some((offset, step)) = self.steps_for(block, degree).first_after(after) {
                 self.next_step = Some((phase, block, offset, step));
                 return NextWake::At(self.timeline.round(Position {
                     phase,

@@ -28,7 +28,7 @@ use netsim::{Envelope, NextWake, NodeCtx, Outbox, Protocol, Round};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fragment::{FragmentCore, Step};
+use crate::fragment::{FragmentCore, Step, Steps};
 use crate::ldt::LdtView;
 use crate::msg::MstMsg;
 use crate::schedule::ts_offsets;
@@ -213,60 +213,58 @@ impl RandomizedMst {
     }
 
     /// The node's wake schedule inside one block, sorted by offset.
-    fn steps_for(&self, block: u64, degree: usize) -> Vec<(u64, Step)> {
+    fn steps_for(&self, block: u64, degree: usize) -> Steps {
         let o = ts_offsets(self.timeline.n(), self.core.level);
         let root = self.core.is_root();
         let kids = self.core.has_children();
-        let mut steps = Vec::with_capacity(2);
+        let mut steps = Steps::new();
         match block {
             FRAG_ID_EXCHANGE | COIN_EXCHANGE | MERGE_INFO => {
                 if degree > 0 {
-                    steps.push((o.side, Step::Side));
+                    steps.push(o.side, Step::Side);
                 }
             }
             UPCAST_MOE | UPCAST_VALIDITY => {
                 if kids {
-                    steps.push((o.up_receive, Step::UpReceive));
+                    steps.push(o.up_receive, Step::UpReceive);
                 }
                 if let Some(up) = o.up_send {
-                    steps.push((up, Step::UpSend));
+                    steps.push(up, Step::UpSend);
                 }
             }
             BCAST_MOE | COIN_BCAST | BCAST_VALIDITY => {
                 if let Some(dr) = o.down_receive {
-                    steps.push((dr, Step::DownReceive));
+                    steps.push(dr, Step::DownReceive);
                 }
                 if kids || root {
                     // Childless roots keep one wake here: it is where a
                     // singleton fragment does its local MOE/coin/validity
                     // bookkeeping (and where DONE is decided).
-                    steps.push((o.down_send, Step::DownSend));
+                    steps.push(o.down_send, Step::DownSend);
                 }
             }
             MERGE_UP => {
                 if self.merging {
                     if kids {
-                        steps.push((o.up_receive, Step::UpReceive));
+                        steps.push(o.up_receive, Step::UpReceive);
                     }
                     if let Some(up) = o.up_send {
-                        steps.push((up, Step::UpSend));
+                        steps.push(up, Step::UpSend);
                     }
                 }
             }
             MERGE_DOWN => {
                 if self.merging {
                     if let Some(dr) = o.down_receive {
-                        steps.push((dr, Step::DownReceive));
+                        steps.push(dr, Step::DownReceive);
                     }
                     if kids {
-                        steps.push((o.down_send, Step::DownSend));
+                        steps.push(o.down_send, Step::DownSend);
                     }
                 }
             }
             _ => unreachable!("randomized timeline has {BLOCKS_PER_PHASE} blocks"),
         }
-        // lint:allow(determinism) -- step offsets within a block are pairwise distinct by Timeline construction
-        steps.sort_unstable_by_key(|&(off, _)| off);
         steps
     }
 
@@ -281,11 +279,7 @@ impl RandomizedMst {
         degree: usize,
     ) -> NextWake {
         loop {
-            let next = self
-                .steps_for(block, degree)
-                .into_iter()
-                .find(|&(off, _)| after.is_none_or(|a| off > a));
-            if let Some((offset, step)) = next {
+            if let Some((offset, step)) = self.steps_for(block, degree).first_after(after) {
                 self.next_step = Some((phase, block, offset, step));
                 return NextWake::At(self.timeline.round(Position {
                     phase,

@@ -469,6 +469,74 @@ fn over_long_line_gets_a_typed_reply_and_the_daemon_stays_up() {
     server.join().unwrap();
 }
 
+/// Kills the spawned daemon and removes its socket file if a test fails
+/// before the daemon exits on its own.
+struct DaemonGuard(std::process::Child, PathBuf);
+
+impl Drop for DaemonGuard {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+        let _ = std::fs::remove_file(&self.1);
+    }
+}
+
+/// The daemon releases a connection's descriptors when the connection
+/// ends: under a 64-descriptor limit it keeps answering across 200
+/// sequential connect / `stats` / close cycles. A daemon that kept every
+/// connection open would stop replying after about fifty.
+#[test]
+fn sequential_connections_do_not_exhaust_file_descriptors() {
+    let socket = test_socket("fd-reap");
+    let daemon = std::process::Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -n 64; exec \"$0\" serve --socket \"$1\"")
+        .arg(env!("CARGO_BIN_EXE_sleeping-mst"))
+        .arg(&socket)
+        .spawn()
+        .expect("spawn daemon");
+    let mut daemon = DaemonGuard(daemon, socket.clone());
+
+    let connect = || {
+        for _ in 0..200 {
+            if let Ok(stream) = UnixStream::connect(&socket) {
+                return stream;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        }
+        panic!("cannot connect to {}", socket.display());
+    };
+    let request = |line: &str| {
+        let stream = connect();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut writer = BufWriter::new(stream.try_clone().expect("clone"));
+        writer.write_all(line.as_bytes()).expect("send");
+        writer.write_all(b"\n").expect("send");
+        writer.flush().expect("flush");
+        let mut reply = String::new();
+        let n = BufReader::new(stream).read_line(&mut reply).unwrap_or(0);
+        (n > 0).then(|| Response::parse(reply.trim_end()))
+    };
+
+    for cycle in 0..200 {
+        let resp = request("{\"id\":1,\"cmd\":\"stats\"}")
+            .unwrap_or_else(|| panic!("cycle {cycle}: the daemon did not reply"));
+        assert!(
+            resp.ok && resp.source == "control",
+            "cycle {cycle}: {resp:?}"
+        );
+    }
+
+    // Teardown may close the connection before the reply is written.
+    let _ = request("{\"id\":2,\"cmd\":\"shutdown\"}");
+    assert!(
+        daemon.0.wait().expect("daemon exit").success(),
+        "daemon failed"
+    );
+}
+
 /// Batch request kinds (sweep/report/chaos) execute and cache like runs.
 #[test]
 fn batch_requests_are_served_and_cached() {
